@@ -127,10 +127,10 @@ void add_pair(std::vector<runner::RunSpec>& specs, sched::MachineConfig mcfg,
               double p, sim::SimTime quantum) {
   specs.push_back(bench::measure_spec_on(mcfg, bench::cpuburn_key(4),
                                          bench::cpuburn_fleet(4),
-                                         runner::ActuationSpec::none()));
+                                         harness::ActuationSpec::none()));
   specs.push_back(bench::measure_spec_on(
       mcfg, bench::cpuburn_key(4), bench::cpuburn_fleet(4),
-      runner::ActuationSpec::global(p, quantum)));
+      harness::ActuationSpec::global(p, quantum)));
 }
 
 }  // namespace

@@ -127,7 +127,7 @@ inline std::string workload_key(const std::string& name, int n) {
 inline runner::RunSpec measure_spec(
     const sched::MachineConfig& cfg, std::string key,
     harness::ExperimentRunner::WorkloadFactory factory,
-    runner::ActuationSpec actuation,
+    harness::ActuationSpec actuation,
     harness::MeasurementConfig mc = harness::MeasurementConfig{}) {
   runner::RunSpec spec;
   spec.workload_key = std::move(key);
@@ -143,7 +143,7 @@ inline runner::RunSpec measure_spec(
 inline runner::RunSpec measure_spec_on(
     sched::MachineConfig machine, std::string key,
     harness::ExperimentRunner::WorkloadFactory factory,
-    runner::ActuationSpec actuation,
+    harness::ActuationSpec actuation,
     harness::MeasurementConfig mc = harness::MeasurementConfig{}) {
   runner::RunSpec spec = measure_spec(machine, std::move(key),
                                       std::move(factory), actuation, mc);

@@ -21,12 +21,12 @@ int main() {
   std::vector<runner::RunSpec> specs;
   specs.push_back(bench::measure_spec(cfg, bench::cpuburn_key(4),
                                       bench::cpuburn_fleet(4),
-                                      runner::ActuationSpec::none()));
+                                      harness::ActuationSpec::none()));
   for (const double l : ls_ms) {
     for (const double p : ps) {
       specs.push_back(bench::measure_spec(
           cfg, bench::cpuburn_key(4), bench::cpuburn_fleet(4),
-          runner::ActuationSpec::global(p, sim::from_ms(l))));
+          harness::ActuationSpec::global(p, sim::from_ms(l))));
     }
   }
   const auto records = bench::run_all_or_die(engine, specs);

@@ -19,25 +19,25 @@ int main() {
   // One grid, three technique families: baseline first, then Dimetrodon,
   // the VFS ladder, and the p4tcc duty steps.
   std::vector<runner::RunSpec> specs;
-  const auto add = [&](runner::ActuationSpec act) {
+  const auto add = [&](harness::ActuationSpec act) {
     specs.push_back(bench::measure_spec(cfg, bench::cpuburn_key(4),
                                         bench::cpuburn_fleet(4), act));
   };
-  add(runner::ActuationSpec::none());
+  add(harness::ActuationSpec::none());
   std::size_t num_dim = 0;
   for (const double p : {0.1, 0.25, 0.5, 0.75, 0.9}) {
     for (const double l : {1.0, 5.0, 10.0, 25.0, 50.0, 100.0}) {
-      add(runner::ActuationSpec::global(p, sim::from_ms(l)));
+      add(harness::ActuationSpec::global(p, sim::from_ms(l)));
       ++num_dim;
     }
   }
   std::size_t num_vfs = 0;
   for (std::size_t level = 1; level < cfg.dvfs.num_levels(); ++level) {
-    add(runner::ActuationSpec::vfs(level));
+    add(harness::ActuationSpec::vfs(level));
     ++num_vfs;
   }
   for (std::size_t step = 7; step >= 2; --step) {
-    add(runner::ActuationSpec::tcc(step));
+    add(harness::ActuationSpec::tcc(step));
   }
 
   const auto sweep = bench::run_measured_sweep(engine, std::move(specs));

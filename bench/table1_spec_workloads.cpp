@@ -49,12 +49,12 @@ int main() {
     const auto key = bench::workload_key(row.name, 4);
     const auto factory = bench::workload_fleet(row.name, 4);
     specs.push_back(
-        bench::measure_spec(cfg, key, factory, runner::ActuationSpec::none()));
+        bench::measure_spec(cfg, key, factory, harness::ActuationSpec::none()));
     for (const double p : ps) {
       for (const double l : ls_ms) {
         specs.push_back(bench::measure_spec(
             cfg, key, factory,
-            runner::ActuationSpec::global(p, sim::from_ms(l))));
+            harness::ActuationSpec::global(p, sim::from_ms(l))));
       }
     }
   }

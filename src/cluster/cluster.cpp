@@ -163,26 +163,16 @@ Cluster::~Cluster() = default;
 
 void Cluster::attach_control(Node& node, const NodeSpec& spec) {
   if (spec.governor.enabled()) {
-    // Governed node: the controller sits behind an arbiter; the governor
-    // claims the feedback channel and any configured open-loop probability
-    // becomes the preventive floor.
-    node.controller =
-        std::make_shared<core::DimetrodonController>(*node.machine);
-    node.arbiter =
-        std::make_unique<control::InjectionArbiter>(*node.controller);
-    if (spec.injection_probability > 0.0) {
-      node.preventive_port = &node.arbiter->claim(
-          control::InjectionArbiter::Channel::kPreventive, "preventive");
-      node.preventive_port->request(spec.injection_probability,
-                                    spec.injection_quantum);
-    }
-    node.driver = std::make_unique<control::GovernorDriver>(
-        *node.machine, *node.arbiter, spec.governor);
+    // Governed node: the governor claims the feedback channel and any
+    // configured open-loop probability becomes the preventive floor.
+    node.ctl = control::make_governed_stack(*node.machine, spec.governor,
+                                            spec.injection_probability,
+                                            spec.injection_quantum);
   } else if (spec.injection_probability > 0.0) {
-    node.controller =
+    node.ctl.controller =
         std::make_shared<core::DimetrodonController>(*node.machine);
-    node.controller->sys_set_global(spec.injection_probability,
-                                    spec.injection_quantum);
+    node.ctl.controller->sys_set_global(spec.injection_probability,
+                                        spec.injection_quantum);
   }
 }
 
@@ -394,7 +384,7 @@ void Cluster::merge_sweep(sim::SimTime t) {
   // machine can freeze here without losing work.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (admin_[i] == AdminState::kRemoving && outstanding_[i] == 0) {
-      if (nodes_[i].driver) nodes_[i].driver->stop();
+      if (nodes_[i].ctl.driver) nodes_[i].ctl.driver->stop();
       admin_[i] = AdminState::kDetached;
       tracer_.node_removed();
     }
@@ -559,11 +549,13 @@ ClusterResult Cluster::run(sim::SimTime duration) {
   for (const Node& node : nodes_) {
     r.drains += node.stats.drains;
     NodeStats stats = node.stats;
-    if (node.driver) stats.governor_trips = node.driver->stats().trips;
+    if (node.ctl.driver) stats.governor_trips = node.ctl.driver->stats().trips;
     r.nodes.push_back(stats);
     r.counters += node.machine->counters().totals();
     r.total_energy_j += node.machine->energy().total_joules();
-    if (node.driver) r.stability.merge_worst(node.driver->stability_metrics());
+    if (node.ctl.driver) {
+      r.stability.merge_worst(node.ctl.driver->stability_metrics());
+    }
   }
   // Cluster-scope counters live only in the cluster's registry; fold in just
   // these fields (its requests_completed would double-count the machines').
@@ -728,24 +720,25 @@ void Cluster::admin_set_injection(std::size_t i, double probability,
                                   sim::SimTime quantum) {
   Node& node = nodes_.at(i);
   flush_fleet();
-  if (node.arbiter) {
+  control::ControlStack& ctl = node.ctl;
+  if (ctl.arbiter) {
     // Governed node: the new probability rides the arbiter's preventive
     // channel, arbitrated against the live governor as usual.
-    if (node.preventive_port == nullptr) {
-      node.preventive_port = &node.arbiter->claim(
+    if (ctl.preventive_port == nullptr) {
+      ctl.preventive_port = &ctl.arbiter->claim(
           control::InjectionArbiter::Channel::kPreventive, "preventive");
     }
     if (probability > 0.0) {
-      node.preventive_port->request(probability, quantum);
+      ctl.preventive_port->request(probability, quantum);
     } else {
-      node.preventive_port->withdraw();
+      ctl.preventive_port->withdraw();
     }
   } else {
-    if (!node.controller) {
-      node.controller =
+    if (!ctl.controller) {
+      ctl.controller =
           std::make_shared<core::DimetrodonController>(*node.machine);
     }
-    node.controller->sys_set_global(probability, quantum);
+    ctl.controller->sys_set_global(probability, quantum);
   }
   injection_probability_[i] = probability;
 }
@@ -753,12 +746,12 @@ void Cluster::admin_set_injection(std::size_t i, double probability,
 void Cluster::admin_retune_governor(std::size_t i,
                                     const control::GovernorSpec& spec) {
   Node& node = nodes_.at(i);
-  if (!node.driver) {
+  if (!node.ctl.driver) {
     throw std::invalid_argument(
         "admin_retune_governor: node runs no governor");
   }
   flush_fleet();
-  node.driver->retune(spec);
+  node.ctl.driver->retune(spec);
 }
 
 void Cluster::admin_set_fan(std::size_t i, double fraction) {

@@ -385,13 +385,10 @@ class Cluster {
   struct Node {
     std::unique_ptr<sched::Machine> machine;
     std::unique_ptr<workload::WebWorkload> web;
-    std::shared_ptr<core::DimetrodonController> controller;
-    // Declared after the controller/machine they reference: destroyed first.
-    std::unique_ptr<control::InjectionArbiter> arbiter;
-    std::unique_ptr<control::GovernorDriver> driver;
-    /// Arbiter preventive-channel port, claimed at construction (open-loop
-    /// floor) or lazily by admin_set_injection; borrowed from arbiter.
-    control::InjectionArbiter::Port* preventive_port = nullptr;
+    /// Declared after the machine it references: destroyed first. On a
+    /// governed node the preventive port is claimed at construction
+    /// (open-loop floor) or lazily by admin_set_injection.
+    control::ControlStack ctl;
     NodeStats stats;
     analysis::OnlineStats temp_avg;
     /// Energy reading at the last rack-layer update (power = delta / dt).

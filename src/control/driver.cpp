@@ -120,4 +120,21 @@ void GovernorDriver::sample(sim::SimTime now) {
   schedule_sample();
 }
 
+ControlStack make_governed_stack(sched::Machine& machine,
+                                 const GovernorSpec& spec, double preventive_p,
+                                 sim::SimTime preventive_quantum) {
+  ControlStack stack;
+  stack.controller = std::make_shared<core::DimetrodonController>(machine);
+  stack.arbiter = std::make_unique<InjectionArbiter>(*stack.controller);
+  if (preventive_p > 0.0) {
+    stack.preventive_port =
+        &stack.arbiter->claim(InjectionArbiter::Channel::kPreventive,
+                              "preventive");
+    stack.preventive_port->request(preventive_p, preventive_quantum);
+  }
+  stack.driver =
+      std::make_unique<GovernorDriver>(machine, *stack.arbiter, spec);
+  return stack;
+}
+
 }  // namespace dimetrodon::control

@@ -80,4 +80,25 @@ class GovernorDriver {
   double last_duty_delta_ = 0.0;
 };
 
+/// The injection control stack on one machine: a Dimetrodon controller, and
+/// for a governed machine the InjectionArbiter in front of it, an optional
+/// open-loop floor on the arbiter's preventive channel, and a GovernorDriver
+/// on its governor channel. Members are declared in dependency order, so the
+/// driver is destroyed first and the controller last. An open-loop machine
+/// sets only `controller`.
+struct ControlStack {
+  std::shared_ptr<core::DimetrodonController> controller;
+  std::unique_ptr<InjectionArbiter> arbiter;
+  std::unique_ptr<GovernorDriver> driver;
+  /// Preventive-channel port, borrowed from `arbiter`; null until claimed.
+  InjectionArbiter::Port* preventive_port = nullptr;
+};
+
+/// Builds the governed stack on `machine`: controller, arbiter, then (only
+/// when `preventive_p > 0`) the preventive claim at that duty, then the
+/// driver for `spec`. This is the one place the stack is wired.
+ControlStack make_governed_stack(sched::Machine& machine,
+                                 const GovernorSpec& spec, double preventive_p,
+                                 sim::SimTime preventive_quantum);
+
 }  // namespace dimetrodon::control

@@ -29,12 +29,6 @@ struct SensorFrame {
 /// [0, 1]). Governors are pure controllers — no machine access, no RNG, no
 /// clock reads — so a governed run stays a deterministic function of its
 /// configuration.
-///
-/// Governors deliberately do NOT implement policy::ThermalPolicy: a
-/// ThermalPolicy is a static pre-run actuation of hardware knobs, a Governor
-/// is a feedback loop over the injection duty cycle. The two compose (a
-/// static DVFS/TCC setpoint under a governed injection loop); they must never
-/// compete for the same knob — see control::InjectionArbiter.
 class Governor {
  public:
   virtual ~Governor() = default;

@@ -22,7 +22,6 @@ const std::vector<CounterTotals::Field>& CounterTotals::fields() {
       {"thermal_fast_forward_steps", &CounterTotals::thermal_fast_forward_steps},
       {"thermal_factorizations", &CounterTotals::thermal_factorizations},
       {"thermal_matvecs", &CounterTotals::thermal_matvecs},
-      {"thermal_sparse_matvecs", &CounterTotals::thermal_sparse_matvecs},
       {"thermal_evictions", &CounterTotals::thermal_evictions},
       {"snapshot_builds", &CounterTotals::snapshot_builds},
       {"snapshot_forks", &CounterTotals::snapshot_forks},
@@ -85,7 +84,6 @@ CounterTotals CounterRegistry::totals() const {
   t.thermal_fast_forward_steps = thermal_fast_forward_steps;
   t.thermal_factorizations = thermal_factorizations;
   t.thermal_matvecs = thermal_matvecs;
-  t.thermal_sparse_matvecs = thermal_sparse_matvecs;
   t.thermal_evictions = thermal_evictions;
   t.governor_samples = governor_samples;
   t.governor_trips = governor_trips;

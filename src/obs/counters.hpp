@@ -63,8 +63,7 @@ struct CounterTotals {
   std::uint64_t thermal_substeps = 0;            // substeps integrated
   std::uint64_t thermal_fast_forward_steps = 0;  // covered by lifted matvecs
   std::uint64_t thermal_factorizations = 0;      // step-matrix LU factors
-  std::uint64_t thermal_matvecs = 0;             // matvec products, any kind
-  std::uint64_t thermal_sparse_matvecs = 0;      // of those, via the CSR path
+  std::uint64_t thermal_matvecs = 0;             // dense matvec products
   std::uint64_t thermal_evictions = 0;           // StepOperator LRU evictions
 
   // Warm-start counters. The machine never increments these; the sweep
@@ -139,7 +138,6 @@ class CounterRegistry {
   std::uint64_t thermal_fast_forward_steps = 0;
   std::uint64_t thermal_factorizations = 0;
   std::uint64_t thermal_matvecs = 0;
-  std::uint64_t thermal_sparse_matvecs = 0;
   std::uint64_t thermal_evictions = 0;
 
   CounterTotals totals() const;

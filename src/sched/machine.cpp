@@ -194,7 +194,6 @@ void Machine::sync_thermal_counters() {
   c.thermal_fast_forward_steps = s.fast_forward_steps;
   c.thermal_factorizations = s.factorizations;
   c.thermal_matvecs = s.matvecs;
-  c.thermal_sparse_matvecs = s.sparse_matvecs;
   c.thermal_evictions = s.evictions;
 }
 

@@ -19,7 +19,7 @@ namespace dimetrodon::sim {
 /// gained rack/CRAC, traffic-shape and telemetry-batching fields; the
 /// fleet_samples counter joined obs::CounterTotals::fields().
 ///
-/// v8: run specs gained the warm-start `warmup` field; thermal_sparse_matvecs,
+/// v8: run specs gained the warm-start `warmup` field; a CSR-matvec counter,
 /// thermal_evictions, snapshot_builds and snapshot_forks joined
 /// obs::CounterTotals::fields().
 ///
@@ -28,7 +28,10 @@ namespace dimetrodon::sim {
 /// directive script; scenario_directives, node_joins, node_removals,
 /// requests_shed, requests_rehomed and latency_rejects joined
 /// obs::CounterTotals::fields().
-inline constexpr int kCanonVersion = 9;
+///
+/// v10: the CSR propagator path was deleted, and its matvec counter left
+/// obs::CounterTotals::fields(), so the cached counter list changed.
+inline constexpr int kCanonVersion = 10;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

@@ -26,6 +26,8 @@ using NodeId = std::size_t;
 /// closed form T_k = A^k·T + (I + A + … + A^(k-1))·b. `advance()` evaluates
 /// that with binary-lifted powers A^(2^j) and matching geometric sums, so a
 /// long fast-forward costs O(log k) small matvecs instead of k linear solves.
+/// A machine network is one connected component of a few free nodes, so the
+/// lifted tables are dense and every matvec takes the dense row kernel.
 class RcNetwork {
  public:
   /// Add a thermal mass. `capacitance` must be > 0.
@@ -102,18 +104,10 @@ class RcNetwork {
     std::uint64_t fast_forward_steps = 0;  // substeps covered by lifted matvecs
     std::uint64_t factorizations = 0;      // step-matrix LU factorizations
     std::uint64_t solves = 0;              // LU back-substitutions
-    std::uint64_t matvecs = 0;             // matrix-vector products, any kind
-    std::uint64_t sparse_matvecs = 0;      // of those, via the CSR path
+    std::uint64_t matvecs = 0;             // dense matrix-vector products
     std::uint64_t evictions = 0;           // StepOperator LRU evictions
   };
   const Stats& stats() const { return stats_; }
-
-  /// Enable/disable the CSR fast path (default on). With sparsity disabled
-  /// every matvec goes through the dense reference; results are bitwise
-  /// identical either way (the CSR drops exact zeros only), so this knob
-  /// exists for benchmarking and parity tests, not correctness.
-  void set_sparse_enabled(bool enabled) { sparse_enabled_ = enabled; }
-  bool sparse_enabled() const { return sparse_enabled_; }
 
   /// Portable dynamic state: everything `advance`/`step` read or write that
   /// is not topology. Captured/restored by the machine snapshot layer; the
@@ -150,12 +144,6 @@ class RcNetwork {
     LuFactorization lu;                // M = C/dt + G over free nodes
     std::vector<DenseMatrix> a_pow;    // A^(2^j)
     std::vector<DenseMatrix> s_geo;    // I + A + … + A^(2^j - 1)
-    // CSR twins of the lifted tables, built per level when the fill ratio
-    // makes dense a loss (block-diagonal networks: rack air islands joined
-    // only through the fixed CRAC node). Empty entries mean "use dense".
-    std::vector<SparseMatrix> a_pow_csr;
-    std::vector<SparseMatrix> s_geo_csr;
-    std::vector<bool> level_sparse;    // per level: CSR twins populated?
     std::uint64_t last_used = 0;       // LRU tick
   };
 
@@ -189,15 +177,6 @@ class RcNetwork {
   std::uint64_t operator_clock_ = 0;
   std::uint64_t topology_revision_ = 0;  // bumped by add_node/connect
   std::uint64_t built_revision_ = ~std::uint64_t{0};
-
-  // CSR fast-path policy: build sparse twins of a lifted level when the
-  // network is big enough for the bookkeeping to pay (>= kSparseMinNodes
-  // free nodes) and the level's fill ratio is at or below kSparseMaxFill.
-  // On a fully connected (single-component) network the propagator is dense
-  // and the CSR path never engages.
-  static constexpr std::size_t kSparseMinNodes = 8;
-  static constexpr double kSparseMaxFill = 0.5;
-  bool sparse_enabled_ = true;
 
   Stats stats_;
   std::vector<double> rhs_;

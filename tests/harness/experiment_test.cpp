@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <utility>
+
 #include "workload/cpuburn.hpp"
 
 namespace dimetrodon::harness {
@@ -20,7 +23,7 @@ ExperimentRunner::WorkloadFactory cpuburn4() {
 
 TEST(ExperimentTest, BaselineRunIsHotAndFast) {
   auto runner = make_runner();
-  const RunResult r = runner.measure(cpuburn4(), actuation::none());
+  const RunResult r = runner.measure(cpuburn4(), ActuationSpec::none());
   EXPECT_GT(r.avg_sensor_temp_c, r.idle_sensor_temp_c + 20.0);
   EXPECT_NEAR(r.throughput, 4.0, 0.05);
   EXPECT_GT(r.avg_power_w, 60.0);
@@ -33,9 +36,9 @@ TEST(ExperimentTest, BaselineRunIsHotAndFast) {
 
 TEST(ExperimentTest, DimetrodonRunCoolerAndSlower) {
   auto runner = make_runner();
-  const RunResult base = runner.measure(cpuburn4(), actuation::none());
+  const RunResult base = runner.measure(cpuburn4(), ActuationSpec::none());
   const RunResult dim =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.5, sim::from_ms(25)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.5, sim::from_ms(25)));
   EXPECT_LT(dim.avg_sensor_temp_c, base.avg_sensor_temp_c - 3.0);
   EXPECT_LT(dim.throughput, base.throughput * 0.9);
   EXPECT_GT(dim.injected_idle_fraction, 0.1);
@@ -48,7 +51,7 @@ TEST(ExperimentTest, DimetrodonRunCoolerAndSlower) {
 
 TEST(ExperimentTest, TradeoffOfBaselineAgainstItselfIsZero) {
   auto runner = make_runner();
-  const RunResult base = runner.measure(cpuburn4(), actuation::none());
+  const RunResult base = runner.measure(cpuburn4(), ActuationSpec::none());
   const Tradeoff t = compute_tradeoff(base, base);
   EXPECT_DOUBLE_EQ(t.temp_reduction, 0.0);
   EXPECT_DOUBLE_EQ(t.throughput_reduction, 0.0);
@@ -56,8 +59,8 @@ TEST(ExperimentTest, TradeoffOfBaselineAgainstItselfIsZero) {
 
 TEST(ExperimentTest, VfsActuationSlowsByFrequencyRatio) {
   auto runner = make_runner();
-  const RunResult base = runner.measure(cpuburn4(), actuation::none());
-  const RunResult vfs = runner.measure(cpuburn4(), actuation::vfs(5));
+  const RunResult base = runner.measure(cpuburn4(), ActuationSpec::none());
+  const RunResult vfs = runner.measure(cpuburn4(), ActuationSpec::vfs(5));
   const Tradeoff t = compute_tradeoff(base, vfs);
   EXPECT_NEAR(t.throughput_retained, 1.596 / 2.261, 0.01);
 }
@@ -65,9 +68,9 @@ TEST(ExperimentTest, VfsActuationSlowsByFrequencyRatio) {
 TEST(ExperimentTest, RunsAreReproducible) {
   auto runner = make_runner();
   const RunResult a =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.25, sim::from_ms(10)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.25, sim::from_ms(10)));
   const RunResult b =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.25, sim::from_ms(10)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.25, sim::from_ms(10)));
   EXPECT_DOUBLE_EQ(a.avg_sensor_temp_c, b.avg_sensor_temp_c);
   EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
 }
@@ -76,7 +79,7 @@ TEST(ExperimentTest, PostDeployHookSeesThreads) {
   auto runner = make_runner();
   bool called = false;
   runner.measure(
-      cpuburn4(), actuation::dimetrodon(0.5, sim::from_ms(10)),
+      cpuburn4(), ActuationSpec::global(0.5, sim::from_ms(10)),
       [&](sched::Machine& m, workload::Workload& wl,
           core::DimetrodonController* ctl) {
         called = true;
@@ -94,7 +97,7 @@ TEST(ExperimentTest, RunToCompletionReportsTime) {
     return std::make_unique<workload::CpuBurnFleet>(4, 2.0);
   };
   const WindowResult r =
-      runner.run_to_completion(burn, actuation::none(), sim::from_sec(30));
+      runner.run_to_completion(burn, ActuationSpec::none(), sim::from_sec(30));
   EXPECT_NEAR(r.completion_seconds, 2.0, 0.05);
   EXPECT_GT(r.meter_energy_j, 0.0);
   EXPECT_NEAR(r.meter_energy_j, r.true_energy_j, 0.12 * r.true_energy_j);
@@ -106,7 +109,7 @@ TEST(ExperimentTest, RunToCompletionDeadlineMiss) {
     return std::make_unique<workload::CpuBurnFleet>(4, 50.0);
   };
   const WindowResult r =
-      runner.run_to_completion(burn, actuation::none(), sim::from_sec(1));
+      runner.run_to_completion(burn, ActuationSpec::none(), sim::from_sec(1));
   EXPECT_LT(r.completion_seconds, 0.0);
   EXPECT_NEAR(r.wall_seconds, 1.0, 1e-9);
 }
@@ -117,7 +120,7 @@ TEST(ExperimentTest, RunWindowTracksCompletionInsideWindow) {
     return std::make_unique<workload::CpuBurnFleet>(4, 1.0);
   };
   const WindowResult r =
-      runner.run_window(burn, actuation::none(), sim::from_sec(5));
+      runner.run_window(burn, ActuationSpec::none(), sim::from_sec(5));
   EXPECT_NEAR(r.completion_seconds, 1.0, 0.05);
   EXPECT_NEAR(r.wall_seconds, 5.0, 1e-9);
 }
@@ -133,7 +136,7 @@ TEST(ExperimentTest, WithConfigAppliesMutation) {
 TEST(ExperimentTest, CountersCrossCheckInjectedIdleFraction) {
   auto runner = make_runner();
   const RunResult dim =
-      runner.measure(cpuburn4(), actuation::dimetrodon(0.5, sim::from_ms(25)));
+      runner.measure(cpuburn4(), ActuationSpec::global(0.5, sim::from_ms(25)));
   EXPECT_GT(dim.counters.injections, 0u);
   // The registry accrues the same per-quantum durations the harness sums into
   // injected_idle_fraction, sampled at the same window boundaries.
@@ -173,7 +176,7 @@ TEST(ExperimentTest, WarmForkMatchesInlineWarmupBitIdentical) {
   const sched::MachineSnapshot snap =
       runner.build_warmup_snapshot(cpuburn4(), warmup);
   for (const double p : {0.2, 0.6}) {
-    const auto act = actuation::dimetrodon(p, sim::from_ms(100));
+    const auto act = ActuationSpec::global(p, sim::from_ms(100));
     const RunResult warm = runner.measure_warm(cpuburn4(), act, snap);
     const RunResult replay = runner.measure_after_warmup(cpuburn4(), act,
                                                          warmup);
@@ -188,18 +191,112 @@ TEST(ExperimentTest, WarmupChangesTheMeasuredOperatingPoint) {
   // closely, temperatures may differ slightly, but the runs are distinct
   // simulations).
   auto runner = warm_runner();
-  const RunResult cold = runner.measure(cpuburn4(), actuation::none());
+  const RunResult cold = runner.measure(cpuburn4(), ActuationSpec::none());
   const RunResult warm = runner.measure_after_warmup(
-      cpuburn4(), actuation::none(), sim::from_sec(60));
+      cpuburn4(), ActuationSpec::none(), sim::from_sec(60));
   EXPECT_GT(warm.avg_exact_temp_c, cold.idle_exact_temp_c);
   EXPECT_NEAR(warm.throughput, cold.throughput, 0.1 * cold.throughput);
 }
 
 TEST(ExperimentTest, LabelsPropagate) {
-  EXPECT_EQ(actuation::dimetrodon(0.25, sim::from_ms(50)).label,
-            "dimetrodon[p=0.25,L=50ms]");
-  EXPECT_EQ(actuation::vfs(2).label, "vfs[level=2]");
-  EXPECT_EQ(actuation::none().label, "race-to-idle");
+  // Labels feed CSV columns; every kind renders from the spec's fields.
+  control::GovernorSpec hysteresis;
+  hysteresis.kind = control::GovernorKind::kHysteresis;
+  control::GovernorSpec pid;
+  pid.kind = control::GovernorKind::kPid;
+  const std::pair<ActuationSpec, const char*> golden[] = {
+      {ActuationSpec::none(), "race-to-idle"},
+      {ActuationSpec::global(0.25, sim::from_ms(50)),
+       "dimetrodon[p=0.25,L=50ms]"},
+      {ActuationSpec::global_stratified(0.5, sim::from_ms(25)),
+       "dimetrodon-det[p=0.50,L=25ms]"},
+      {ActuationSpec::vfs(2), "vfs[level=2]"},
+      {ActuationSpec::tcc(4), "p4tcc[step=4]"},
+      {ActuationSpec::governed(hysteresis), "hysteresis[72/68,p=0.60]"},
+      {ActuationSpec::governed(pid, 0.65),
+       "pid[set=68,kp=0.10,ki=0.04]+base=0.65"},
+  };
+  for (const auto& [spec, label] : golden) EXPECT_EQ(spec.label(), label);
+}
+
+// The static hardware actuations of the paper's Fig. 4 comparison: apply()
+// sets every core's knob, attaches no controller, and cools a settled
+// 4x cpuburn machine by more than `min_cooling_c` below race-to-idle.
+struct StaticActuationCase {
+  const char* name;
+  ActuationSpec spec;
+  std::size_t dvfs_level;  // expected on every core
+  double clock_duty;       // expected on every core
+  double min_cooling_c;
+};
+
+void PrintTo(const StaticActuationCase& c, std::ostream* os) { *os << c.name; }
+
+class StaticActuationTest
+    : public ::testing::TestWithParam<StaticActuationCase> {};
+
+double settled_sensor_temp(const ActuationSpec& actuation) {
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  sched::Machine m(cfg);
+  const auto controller = actuation.apply(m);
+  workload::CpuBurnFleet fleet(4);
+  fleet.deploy(m);
+  for (int i = 0; i < 4; ++i) {
+    m.mark_power_window();
+    m.run_for(sim::from_sec(8));
+    m.jump_to_average_power_steady_state();
+  }
+  m.run_for(sim::from_sec(3));
+  return m.mean_sensor_temp();
+}
+
+TEST_P(StaticActuationTest, SetsEveryCoreAndCoolsSettledCpuburn) {
+  const StaticActuationCase& c = GetParam();
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  sched::Machine m(cfg);
+  EXPECT_EQ(c.spec.apply(m), nullptr);
+  const auto& level = m.config().dvfs.level(c.dvfs_level);
+  for (std::size_t i = 0; i < m.num_cores(); ++i) {
+    const auto& core = m.core(static_cast<sched::CoreId>(i));
+    EXPECT_EQ(core.dvfs_level, c.dvfs_level);
+    EXPECT_DOUBLE_EQ(core.op.freq_ghz, level.freq_ghz);
+    EXPECT_DOUBLE_EQ(core.op.voltage_v, level.voltage_v);
+    EXPECT_DOUBLE_EQ(core.op.clock_duty, c.clock_duty);
+  }
+  EXPECT_LT(settled_sensor_temp(c.spec),
+            settled_sensor_temp(ActuationSpec::none()) - c.min_cooling_c);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperBaselines, StaticActuationTest,
+    ::testing::Values(
+        StaticActuationCase{"vfs5", ActuationSpec::vfs(5), 5, 1.0, 8.0},
+        StaticActuationCase{"tcc2", ActuationSpec::tcc(2), 0, 0.25, 10.0}));
+
+// A VFS setpoint other than the Fig. 4 one lands on every core too.
+TEST(ThermalPolicyTest, VfsSetsAllCores) {
+  sched::MachineConfig cfg;
+  cfg.enable_meter = false;
+  sched::Machine m(cfg);
+  EXPECT_EQ(ActuationSpec::vfs(3).apply(m), nullptr);
+  for (std::size_t i = 0; i < m.num_cores(); ++i) {
+    const auto& core = m.core(static_cast<sched::CoreId>(i));
+    EXPECT_EQ(core.dvfs_level, 3u);
+    EXPECT_DOUBLE_EQ(core.op.freq_ghz, m.config().dvfs.level(3).freq_ghz);
+    EXPECT_DOUBLE_EQ(core.op.voltage_v, m.config().dvfs.level(3).voltage_v);
+  }
+}
+
+// Both static techniques, at their Fig. 4 setpoints, cool the same settled
+// 4x cpuburn machine well below race-to-idle.
+TEST(ThermalPolicyTest, VfsCoolsLoadedMachine) {
+  const double unconstrained = settled_sensor_temp(ActuationSpec::none());
+  const double vfs = settled_sensor_temp(ActuationSpec::vfs(5));
+  const double tcc = settled_sensor_temp(ActuationSpec::tcc(2));
+  EXPECT_LT(vfs, unconstrained - 8.0);
+  EXPECT_LT(tcc, unconstrained - 10.0);
 }
 
 }  // namespace

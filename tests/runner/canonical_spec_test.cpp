@@ -15,7 +15,7 @@ RunSpec base_spec() {
   RunSpec s;
   s.kind = RunSpec::Kind::kMeasure;
   s.workload_key = "cpuburn:4";
-  s.actuation = ActuationSpec::global(0.25, sim::from_ms(10));
+  s.actuation = harness::ActuationSpec::global(0.25, sim::from_ms(10));
   s.seed = 0x5eed;
   return s;
 }
@@ -46,7 +46,8 @@ TEST(CanonicalSpecTest, EveryDataFieldPerturbsTheText) {
   EXPECT_NE(base, canon(workload));
 
   RunSpec act_kind = base_spec();
-  act_kind.actuation = ActuationSpec::global_stratified(0.25, sim::from_ms(10));
+  act_kind.actuation =
+      harness::ActuationSpec::global_stratified(0.25, sim::from_ms(10));
   EXPECT_NE(base, canon(act_kind));
 
   RunSpec act_p = base_spec();
@@ -72,7 +73,7 @@ TEST(CanonicalSpecTest, GovernorParametersEnterTheActuationSection) {
   control::GovernorSpec g;
   g.kind = control::GovernorKind::kPid;
   g.pid.setpoint_c = 45.0;
-  governed.actuation = ActuationSpec::governed(g);
+  governed.actuation = harness::ActuationSpec::governed(g);
   const std::string base = canon(governed);
 
   RunSpec tweaked = governed;

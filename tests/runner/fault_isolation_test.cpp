@@ -249,7 +249,7 @@ TEST_F(FaultTest, SingularThermalConfigFailsOnlyItsOwnRun) {
   RunSpec bad;
   bad.workload_key = "cpuburn:2";
   bad.workload = [] { return std::make_unique<workload::CpuBurnFleet>(2); };
-  bad.actuation = ActuationSpec::none();
+  bad.actuation = harness::ActuationSpec::none();
   bad.measurement = mc;
   bad.seed = 0x5eed;
   bad.machine = degenerate;

@@ -35,8 +35,8 @@ RunSpec cpuburn_spec(double p, sim::SimTime quantum, std::uint64_t seed) {
   RunSpec spec;
   spec.workload_key = "cpuburn:2";
   spec.workload = [] { return std::make_unique<workload::CpuBurnFleet>(2); };
-  spec.actuation = p > 0.0 ? ActuationSpec::global(p, quantum)
-                           : ActuationSpec::none();
+  spec.actuation = p > 0.0 ? harness::ActuationSpec::global(p, quantum)
+                           : harness::ActuationSpec::none();
   spec.measurement = fast_measurement();
   spec.seed = seed;
   return spec;
@@ -154,16 +154,16 @@ TEST(SweepEngine, KeyChangesWithEverySpecField) {
   const CacheKey key = engine.key_for(base);
 
   RunSpec changed_p = base;
-  changed_p.actuation = ActuationSpec::global(0.25, sim::from_ms(25));
+  changed_p.actuation = harness::ActuationSpec::global(0.25, sim::from_ms(25));
   EXPECT_FALSE(engine.key_for(changed_p) == key);
 
   RunSpec changed_l = base;
-  changed_l.actuation = ActuationSpec::global(0.5, sim::from_ms(50));
+  changed_l.actuation = harness::ActuationSpec::global(0.5, sim::from_ms(50));
   EXPECT_FALSE(engine.key_for(changed_l) == key);
 
   RunSpec changed_kind = base;
-  changed_kind.actuation = ActuationSpec::global_stratified(0.5,
-                                                           sim::from_ms(25));
+  changed_kind.actuation =
+      harness::ActuationSpec::global_stratified(0.5, sim::from_ms(25));
   EXPECT_FALSE(engine.key_for(changed_kind) == key);
 
   RunSpec changed_seed = base;
@@ -211,7 +211,7 @@ TEST(SweepEngine, WarmupIsPartOfTheCacheKey) {
   // The prefix identity ignores actuation/measurement: two warm specs that
   // differ only in injection probability share one snapshot...
   RunSpec other_p = warm;
-  other_p.actuation = ActuationSpec::global(0.25, sim::from_ms(25));
+  other_p.actuation = harness::ActuationSpec::global(0.25, sim::from_ms(25));
   EXPECT_EQ(canonical_warm_prefix(warm, engine.base_config()),
             canonical_warm_prefix(other_p, engine.base_config()));
   // ...but a different seed, workload, or warmup does not.
@@ -258,7 +258,7 @@ TEST(SweepEngine, WarmSweepMatchesDirectHarnessBitForBit) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(i);
     const auto direct = runner.measure_after_warmup(
-        specs[i].workload, specs[i].actuation.to_setup(), specs[i].warmup);
+        specs[i].workload, specs[i].actuation, specs[i].warmup);
     expect_identical(swept[i].result, direct);
   }
 }

@@ -301,5 +301,41 @@ TEST(MachineTest, InvalidDutyStepThrows) {
   EXPECT_THROW(m.set_clock_duty_step(0, 9), std::out_of_range);
 }
 
+TEST(MigrationPrimitiveTest, AffinityMovesRunningThread) {
+  Machine m(small_config());
+  workload::CpuBurnFleet fleet(1);
+  fleet.deploy(m);
+  m.run_for(sim::from_ms(50));
+  const auto tid = fleet.threads()[0];
+  const auto old_core = m.thread(tid).last_core();
+  const CoreId target = old_core == 3 ? 0 : 3;
+  m.set_thread_affinity(tid, target);
+  m.run_for(sim::from_ms(50));
+  EXPECT_EQ(m.thread(tid).last_core(), target);
+  EXPECT_EQ(m.thread(tid).state(), ThreadState::kRunning);
+}
+
+TEST(MigrationPrimitiveTest, InvalidTargetThrows) {
+  Machine m(small_config());
+  workload::CpuBurnFleet fleet(1);
+  fleet.deploy(m);
+  EXPECT_THROW(m.set_thread_affinity(fleet.threads()[0], 99),
+               std::out_of_range);
+}
+
+TEST(MigrationPrimitiveTest, WorkContinuesAcrossMigrations) {
+  Machine m(small_config());
+  workload::CpuBurnFleet fleet(1);
+  fleet.deploy(m);
+  for (int i = 0; i < 16; ++i) {
+    m.run_for(sim::from_ms(100));
+    m.set_thread_affinity(fleet.threads()[0],
+                          static_cast<CoreId>(i % 4));
+  }
+  m.run_for(sim::from_ms(100));
+  // ~1.7 s of wall time, minus context-switch slivers.
+  EXPECT_NEAR(fleet.progress(m), 1.7, 0.05);
+}
+
 }  // namespace
 }  // namespace dimetrodon::sched
