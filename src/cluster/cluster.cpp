@@ -197,6 +197,7 @@ FleetView Cluster::fleet_view() const {
   v.draining = draining_.data();
   v.routable = routable_.data();
   v.routable_count = routable_.size();
+  v.revision = view_revision_;
   return v;
 }
 
@@ -431,6 +432,9 @@ void Cluster::update_rack_layer(sim::SimTime t) {
 }
 
 void Cluster::rebuild_routable() {
+  // Every flush (merge_sweep) and admin_* call ends here, after its view
+  // writes: one bump covers them all.
+  ++view_revision_;
   routable_.clear();
   for (std::size_t i = 0; i < draining_.size(); ++i) {
     if (admin_[i] == AdminState::kActive && draining_[i] == 0) {
@@ -469,10 +473,15 @@ void Cluster::route(sim::SimTime t) {
     return;
   }
   // An affinity key bypasses the policy: the front-end pins keyed sessions
-  // to a deterministic member of the routable set.
-  const std::size_t id =
-      affinity != 0 ? routable_[affinity % routable_.size()]
-                    : balancer_->pick(fleet_view());
+  // to a deterministic member of the routable set. Its +1 below is not the
+  // one that follows a pick, so it bumps the view revision.
+  std::size_t id = 0;
+  if (affinity != 0) {
+    id = routable_[affinity % routable_.size()];
+    ++view_revision_;
+  } else {
+    id = balancer_->pick(fleet_view());
+  }
   Node& node = nodes_.at(id);
   // Deferred advancement: the arrival is recorded, not simulated — the node
   // replays its backlog at the next fleet flush, where the advance can run
@@ -741,6 +750,7 @@ void Cluster::admin_set_injection(std::size_t i, double probability,
     ctl.controller->sys_set_global(probability, quantum);
   }
   injection_probability_[i] = probability;
+  ++view_revision_;
 }
 
 void Cluster::admin_retune_governor(std::size_t i,

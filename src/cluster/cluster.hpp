@@ -208,8 +208,9 @@ struct ClusterResult {
 ///
 ///  * Per-node hot state (quantized temps, outstanding counts, injection
 ///    duty, drain flags) lives in structure-of-arrays vectors; the balancer
-///    reads them through a borrowed FleetView, so routing an arrival is an
-///    allocation-free scan.
+///    reads them through a borrowed FleetView whose revision changes with
+///    every write other than a pick's own +1, so the ordered policies keep
+///    a heap index and route an arrival in O(log N) without allocating.
 ///  * The cluster timeline carries exactly two pending events — the next
 ///    arrival and the next telemetry sweep — regardless of fleet size;
 ///    coordination state beyond that is the O(racks) thermal layer.
@@ -456,6 +457,8 @@ class Cluster {
   std::vector<AdminState> admin_;
   std::vector<std::uint32_t> routable_;
   std::vector<std::uint32_t> rack_of_;
+  /// FleetView::revision; starts at 1 with the constructor's first sweep.
+  std::uint64_t view_revision_ = 0;
 
   /// Replay cursor into config_.arrival_trace (unused without a trace).
   std::size_t trace_pos_ = 0;

@@ -14,10 +14,10 @@ namespace dimetrodon::cluster {
 /// Per-node override applied on top of FleetSpec's gradients. Unset fields
 /// keep whatever the expansion produced.
 struct NodeOverride {
-  std::optional<double> fan_speed_fraction;
-  std::optional<double> injection_probability;
-  std::optional<sim::SimTime> injection_quantum;
-  std::optional<control::GovernorSpec> governor;
+  std::optional<double> fan_speed_fraction{};
+  std::optional<double> injection_probability{};
+  std::optional<sim::SimTime> injection_quantum{};
+  std::optional<control::GovernorSpec> governor{};
 };
 
 /// Declarative fleet builder — the one construction path for clusters.

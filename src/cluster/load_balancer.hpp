@@ -39,6 +39,13 @@ struct FleetView {
   /// load entirely would drop requests on the floor).
   const std::uint32_t* routable = nullptr;
   std::size_t routable_count = 0;
+  /// Bumped by the view's owner whenever any state a pick reads changes for
+  /// a routable node, EXCEPT the `outstanding[id] += 1` that follows a pick
+  /// of `id` (the routable set itself counts as such state). Indexed
+  /// policies rebuild on a changed revision and otherwise repair only the
+  /// previous pick. 0 means "untracked": every pick rebuilds, so hand-built
+  /// views need not maintain it.
+  std::uint64_t revision = 0;
 };
 
 enum class PolicyKind : std::uint8_t {
@@ -50,10 +57,13 @@ enum class PolicyKind : std::uint8_t {
 
 const char* policy_name(PolicyKind kind);
 
-/// Routing policy interface. `pick` scans the routable id list (never empty)
-/// and returns the chosen node id. Policies may keep internal state (e.g. a
-/// round-robin cursor) but must be deterministic: the same view sequence
-/// yields the same decisions.
+/// Routing policy interface. `pick` chooses from the routable id list (never
+/// empty) and returns the chosen node id. Policies may keep internal state
+/// (a round-robin cursor, a heap index over the routable ids) but must be
+/// deterministic: the same view sequence yields the same decisions. Callers
+/// honor FleetView::revision: between two picks with an equal nonzero
+/// revision, the only view change allowed is the +1 on the previous pick's
+/// outstanding count. Decorators forward `pick` unchanged.
 class LoadBalancer {
  public:
   virtual ~LoadBalancer() = default;

@@ -271,6 +271,33 @@ void ChromeTraceExporter::add_machine(const TraceMeta& meta,
         // quantized sensor anywhere in the fleet at this sample.
         emit(counter(pid, "fleet hottest sensor C", e.at, e.value));
         break;
+      case EventKind::kRequestShed:
+        emit(instant(pid, 0, "shed req " + std::to_string(e.tid), e.at));
+        break;
+      case EventKind::kNodeJoin: {
+        char args[64];
+        std::snprintf(args, sizeof args, "\"warm\":%s,\"warm_s\":%.6g",
+                      e.arg != 0 ? "true" : "false", e.value);
+        emit(instant(pid, 0, "node " + std::to_string(c) + " join", e.at,
+                     args));
+        break;
+      }
+      case EventKind::kScenarioDirective: {
+        // 0xffff marks a fleet-wide directive (no target node).
+        const bool fleet_wide = c == 0xffff;
+        char args[96];
+        std::snprintf(args, sizeof args,
+                      "\"kind\":%u,\"node\":%d,\"index\":%llu",
+                      static_cast<unsigned>(e.phase),
+                      fleet_wide ? -1 : static_cast<int>(c),
+                      static_cast<unsigned long long>(e.arg));
+        emit(instant(pid, 0,
+                     "directive " + std::to_string(e.arg) + " kind " +
+                         std::to_string(e.phase) + " -> " +
+                         (fleet_wide ? "fleet" : "node " + std::to_string(c)),
+                     e.at, args));
+        break;
+      }
       case EventKind::kInjectionBegin:
       case EventKind::kInjectionEnd:
         break;  // rendered below from paired spans

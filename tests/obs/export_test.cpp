@@ -116,6 +116,45 @@ TEST(ChromeTraceExporter, EmitsValidJsonWithTracks) {
   EXPECT_NE(json.find("burn-1"), std::string::npos);
 }
 
+// Cluster- and scenario-scope events each render as exactly one instant.
+TEST(ChromeTraceExporter, ClusterChurnEventsRenderOneInstantEach) {
+  TraceEvent directive = make(EventKind::kScenarioDirective, 300, 0xffff,
+                              0xffffffff, /*index=*/4);
+  directive.phase = 7;  // fleet-wide directive kind
+  const struct {
+    TraceEvent event;
+    const char* name;
+    const char* args;
+  } cases[] = {
+      {make(EventKind::kRequestShed, 100, 0, 42), "shed req 42", ""},
+      {make(EventKind::kNodeJoin, 200, 5, 0xffffffff, 1, 0.5), "node 5 join",
+       "\"warm\":true,\"warm_s\":0.5"},
+      {directive, "directive 4 kind 7 -> fleet",
+       "\"kind\":7,\"node\":-1,\"index\":4"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    TraceMeta meta;
+    meta.pid = 3;
+    meta.num_cores = 0;  // no per-core tracks: only process_name metadata
+    ChromeTraceExporter exporter;
+    exporter.add_machine(meta, {c.event});
+    const std::string json = exporter.to_string();
+    const auto parsed = json::validate(json);
+    EXPECT_TRUE(parsed.ok) << parsed.error << " at byte " << parsed.error_pos;
+
+    std::size_t instants = 0;
+    for (std::size_t at = json.find("\"ph\":\"i\""); at != std::string::npos;
+         at = json.find("\"ph\":\"i\"", at + 1)) {
+      ++instants;
+    }
+    EXPECT_EQ(instants, 1u);
+    EXPECT_NE(json.find("\"name\":\"" + std::string(c.name) + "\""),
+              std::string::npos);
+    EXPECT_NE(json.find(c.args), std::string::npos);
+  }
+}
+
 TEST(ChromeTraceExporter, EmptyTraceIsStillValid) {
   ChromeTraceExporter exporter;
   const auto parsed = json::validate(exporter.to_string());
