@@ -67,7 +67,7 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
-// The matvec kernels behind every lifted fast-forward application. Arg is
+// The matvec kernels behind every modal transform (three per advance). Arg is
 // the matrix size; the unrolled kernel must beat (or at worst match) the
 // naive reference while staying bitwise-identical — the parity half lives in
 // tests/thermal/linalg_test.cpp, the speed half is tracked here.
@@ -124,8 +124,9 @@ void BM_RcNetworkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_RcNetworkStep);
 
-// The closed-form propagator: one simulated second of 250 µs substeps in
-// O(log k) matvecs — the fast path under every machine advance.
+// The modal propagator: one simulated second of 250 µs substeps in one
+// closed-form pass of three matvecs — the fast path under every machine
+// advance.
 void BM_RcNetworkFastForward(benchmark::State& state) {
   thermal::RcNetwork net;
   thermal::FloorplanParams params;
@@ -161,7 +162,7 @@ void BM_MachineSimulatedSecond(benchmark::State& state) {
 BENCHMARK(BM_MachineSimulatedSecond)->Arg(0)->Arg(1);
 
 // Pre-fast-forward baseline: the 250 µs self-rescheduling substep event and
-// one sequential LU solve per substep.
+// one sequential implicit-Euler step per substep.
 void BM_MachineSecondReferenceStepper(benchmark::State& state) {
   sched::MachineConfig cfg;
   cfg.enable_meter = false;

@@ -417,8 +417,7 @@ void Cluster::update_rack_layer(sim::SimTime t) {
 
   // Write each rack's air temperature into its members' inlet: the machines'
   // ambient nodes are *fixed* (boundary) nodes, so this re-aims the boundary
-  // term of the closed-form propagator without invalidating its cached
-  // operators.
+  // term of the modal propagator without touching its decomposition.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (admin_[i] == AdminState::kDetached) continue;
     sched::Machine& m = *nodes_[i].machine;

@@ -13,11 +13,11 @@ namespace dimetrodon::control {
 /// Runs one Governor against one machine: every `spec.sample_period` the
 /// driver makes "now" a thermal interaction point (Machine::sync_thermal_now —
 /// a governor sample is NOT a new periodic substep, so the lazy thermal
-/// clock's O(log k) fast-forward is preserved), reads the *quantized* per-core
-/// sensors into a SensorFrame, feeds the governor, and publishes the returned
-/// duty through its InjectionArbiter port. Trip edges, duty changes and duty
-/// reversals are probed into the machine's tracer; the full (time, temp,
-/// duty) series feeds a StabilityTracker for the derived oscillation /
+/// clock's one-pass modal fast-forward is preserved), reads the *quantized*
+/// per-core sensors into a SensorFrame, feeds the governor, and publishes the
+/// returned duty through its InjectionArbiter port. Trip edges, duty changes
+/// and duty reversals are probed into the machine's tracer; the full (time,
+/// temp, duty) series feeds a StabilityTracker for the derived oscillation /
 /// overshoot / settling metrics.
 ///
 /// The driver owns no RNG and reads no exact temperatures: a governed run is

@@ -156,7 +156,8 @@ struct GovernorSpec {
   GovernorKind kind = GovernorKind::kNone;
   /// Sensor sampling period of the control loop. A sample is a machine
   /// interaction point under the lazy thermal clock — not a new periodic
-  /// substep — so tighter loops cost O(log k) matvecs, not linear work.
+  /// substep — so a tighter loop costs one O(n²) modal advance per sample,
+  /// not work linear in the substeps it spans.
   sim::SimTime sample_period = sim::from_ms(50);
   /// Idle quantum the governor requests alongside its duty cycle.
   sim::SimTime quantum = sim::from_ms(10);

@@ -59,12 +59,15 @@ struct CounterTotals {
   std::uint64_t latency_rejects = 0;
 
   // Thermal-engine work counters (mirrored from RcNetwork::stats() at every
-  // advance): how the closed-form fast-forward is spending its effort.
+  // advance): how the modal propagator is spending its effort.
   std::uint64_t thermal_substeps = 0;            // substeps integrated
-  std::uint64_t thermal_fast_forward_steps = 0;  // covered by lifted matvecs
-  std::uint64_t thermal_factorizations = 0;      // step-matrix LU factors
+  std::uint64_t thermal_fast_forward_steps = 0;  // in closed-form k ≥ 2 runs
+  std::uint64_t thermal_factorizations = 0;      // modal decompositions
   std::uint64_t thermal_matvecs = 0;             // dense matvec products
-  std::uint64_t thermal_evictions = 0;           // StepOperator LRU evictions
+  /// Always 0: the per-dt step-operator cache it counted is gone. Kept
+  /// because perfbench reads it by name; it leaves with the counter-scoping
+  /// benchmark change.
+  std::uint64_t thermal_evictions = 0;
 
   // Warm-start counters. The machine never increments these; the sweep
   // engine's snapshot cache does (builds = warmup prefixes simulated, forks
@@ -138,7 +141,6 @@ class CounterRegistry {
   std::uint64_t thermal_fast_forward_steps = 0;
   std::uint64_t thermal_factorizations = 0;
   std::uint64_t thermal_matvecs = 0;
-  std::uint64_t thermal_evictions = 0;
 
   CounterTotals totals() const;
 

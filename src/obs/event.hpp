@@ -62,8 +62,8 @@ constexpr std::string_view event_kind_name(EventKind k) {
 /// like every other probe.
 enum class ThermalStatKind : std::uint8_t {
   kSubsteps = 0,          // substeps integrated so far
-  kFastForwardSteps = 1,  // substeps covered by lifted matvecs
-  kFactorizations = 2,    // step-matrix LU factorizations
+  kFastForwardSteps = 1,  // substeps in closed-form k ≥ 2 runs
+  kFactorizations = 2,    // modal decompositions (one per topology)
   kMatvecs = 3,           // dense matrix-vector products
 };
 

@@ -194,7 +194,6 @@ void Machine::sync_thermal_counters() {
   c.thermal_fast_forward_steps = s.fast_forward_steps;
   c.thermal_factorizations = s.factorizations;
   c.thermal_matvecs = s.matvecs;
-  c.thermal_evictions = s.evictions;
 }
 
 void Machine::advance_thermal(sim::SimTime to) {
@@ -214,15 +213,13 @@ void Machine::advance_thermal(sim::SimTime to) {
   }
   // Lazy clock: every mutation of power-relevant state calls advance_thermal
   // before acting, so the power vector is constant across [last, to). Charge
-  // it once for the whole span, then fast-forward the propagator: k full
-  // substeps in O(log k) matvecs plus one sequential remainder chunk.
+  // it once for the whole span, then advance the propagator in one modal
+  // pass: k full substeps in closed form plus the sub-substep tail.
   const sim::SimTime span = to - last_thermal_update_;
   apply_powers(sim::to_sec(span));
-  const std::uint64_t k =
-      static_cast<std::uint64_t>(span / config_.thermal_substep);
-  const sim::SimTime remainder = span % config_.thermal_substep;
-  network_.advance(sim::to_sec(config_.thermal_substep), k);
-  if (remainder > 0) network_.step(sim::to_sec(remainder));
+  network_.advance(sim::to_sec(config_.thermal_substep),
+                   static_cast<std::uint64_t>(span / config_.thermal_substep),
+                   sim::to_sec(span % config_.thermal_substep));
   last_thermal_update_ = to;
   sync_thermal_counters();
 }
@@ -863,8 +860,8 @@ void Machine::set_fan_speed(double fraction) {
     throw std::invalid_argument("fan speed fraction must be in (0, 1]");
   }
   // Integrate the elapsed span under the old conductance first; the edge
-  // re-weight below invalidates the cached step operators, so everything
-  // after "now" factors against the new one.
+  // re-weight below bumps the network's topology revision, so everything
+  // after "now" steps on a fresh decomposition of the new one.
   advance_thermal(sim_.now());
   config_.floorplan.fan_speed_fraction = fraction;
   const double fan_factor = std::pow(fraction, 0.8);

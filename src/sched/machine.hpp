@@ -74,10 +74,11 @@ struct MachineConfig {
   sim::SimTime thermal_monitor_period = sim::from_ms(5);
   std::size_t prochot_duty_step = 2;  // 25% clock duty while throttling
 
-  /// Thermal integration substep: the implicit-Euler dt of the closed-form
+  /// Thermal integration substep: the implicit-Euler dt of the modal
   /// propagator. Integration happens lazily at machine interaction points
-  /// (scheduler events, actuation, sensor/meter reads) where the span since
-  /// the last update is fast-forwarded in O(log k) matvecs of this dt.
+  /// (scheduler events, actuation, sensor/meter reads); the span since the
+  /// last update is k substeps of this dt plus one exact sub-substep tail,
+  /// advanced in one O(n²) pass whatever k and the tail are.
   sim::SimTime thermal_substep = sim::from_us(250);
 
   /// Upper bound on the span between thermal advances (a coarse self-
@@ -87,9 +88,9 @@ struct MachineConfig {
   sim::SimTime thermal_watchdog = sim::from_ms(5);
 
   /// Testing/benchmark mode: restore the pre-fast-forward stepper — a
-  /// self-rescheduling `thermal_substep` event and one sequential LU solve
-  /// per substep, with leakage refreshed every chunk. The parity suite and
-  /// the before/after engine benchmark run against this.
+  /// self-rescheduling `thermal_substep` event and one sequential
+  /// implicit-Euler step per substep, with leakage refreshed every chunk.
+  /// The parity suite and the before/after engine benchmark run against it.
   bool thermal_reference_stepper = false;
 
   /// Attach the sampled power meter (disable for large parameter sweeps).
@@ -229,8 +230,8 @@ class Machine {
   /// Fast-forward the thermal network to the present instant, making "now" an
   /// interaction point under the lazy thermal clock. Feedback controllers
   /// call this before reading sensors so a sample observes current
-  /// temperatures without adding a periodic substep — the fast-forward stays
-  /// O(log k) in the number of elapsed substeps.
+  /// temperatures without adding a periodic substep — the fast-forward is
+  /// one O(n²) modal pass whatever the number of elapsed substeps.
   void sync_thermal_now() { advance_thermal(sim_.now()); }
 
   /// True instantaneous package power right now, watts.

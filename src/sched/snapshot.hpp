@@ -30,9 +30,10 @@ namespace dimetrodon::sched {
 ///  * all stochastic state (master RNG, per-thread RNG streams, cached
 ///    Box-Muller halves) is copied verbatim.
 ///
-/// Deliberately NOT captured: the thermal per-dt operator cache (a pure
-/// function of topology + dt; rebuilt lazily with bit-identical arithmetic,
-/// so only the factorization/solve work counters can exceed the replay's)
+/// Deliberately NOT captured: the thermal network's modal decomposition (a
+/// pure function of the topology; rebuilt lazily with bit-identical
+/// arithmetic, so only the factorization work counter can exceed the
+/// replay's)
 /// and anything precondition-excluded by Machine::snapshot (meter, trace
 /// sink, reference stepper, an attached injection hook).
 struct MachineSnapshot {

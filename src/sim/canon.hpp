@@ -31,7 +31,12 @@ namespace dimetrodon::sim {
 ///
 /// v10: the CSR propagator path was deleted, and its matvec counter left
 /// obs::CounterTotals::fields(), so the cached counter list changed.
-inline constexpr int kCanonVersion = 10;
+///
+/// v11: the modal thermal propagator replaced the per-dt LU operator cache.
+/// No canonical format changed, but cached `_exact` temperatures and energy
+/// values change in their last bits (and the thermal work counters
+/// entirely), so results from v10 must be recomputed, not replayed.
+inline constexpr int kCanonVersion = 11;
 
 /// The one way canonical text is produced. Fields render as "key=value "
 /// with doubles in hex-float (%a) so the text is bit-exact, integers in hex,

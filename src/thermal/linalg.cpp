@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 namespace dimetrodon::thermal {
 
@@ -56,84 +58,59 @@ void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
   }
 }
 
-DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b) {
+SymmetricEigen symmetric_eigen(DenseMatrix a) {
+  constexpr int kMaxSweeps = 64;
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
   const std::size_t n = a.size();
-  assert(b.size() == n);
-  DenseMatrix c(n);
-  for (std::size_t r = 0; r < n; ++r) {
+  DenseMatrix v = DenseMatrix::identity(n);
+  // Rotate columns p and q of m by (c, s): m_kp, m_kq ← c·m_kp − s·m_kq,
+  // s·m_kp + c·m_kq.
+  const auto rotate_cols = [n](DenseMatrix& m, std::size_t p, std::size_t q,
+                               double c, double s) {
     for (std::size_t k = 0; k < n; ++k) {
-      const double f = a.at(r, k);
-      if (f == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) c.at(r, j) += f * b.at(k, j);
+      const double mp = m.at(k, p);
+      const double mq = m.at(k, q);
+      m.at(k, p) = c * mp - s * mq;
+      m.at(k, q) = s * mp + c * mq;
     }
-  }
-  return c;
-}
-
-DenseMatrix matadd(const DenseMatrix& a, const DenseMatrix& b) {
-  const std::size_t n = a.size();
-  assert(b.size() == n);
-  DenseMatrix c(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t j = 0; j < n; ++j) c.at(r, j) = a.at(r, j) + b.at(r, j);
-  }
-  return c;
-}
-
-bool LuFactorization::factor(const DenseMatrix& m) {
-  const std::size_t n = m.size();
-  lu_ = m;
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-  valid_ = false;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot: largest magnitude in this column at/below the diagonal.
-    std::size_t pivot = col;
-    double best = std::fabs(lu_.at(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(lu_.at(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
+  };
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    bool rotated = false;
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = a.at(p, q);
+        if (apq == 0.0) continue;
+        const double app = a.at(p, p);
+        const double aqq = a.at(q, q);
+        if (std::fabs(apq) <= kEps * std::sqrt(std::fabs(app * aqq))) {
+          a.at(p, q) = a.at(q, p) = 0.0;
+          continue;
+        }
+        rotated = true;
+        // The rotation angle that zeroes a_pq, via its stable tangent.
+        const double theta = (aqq - app) / (2.0 * apq);
+        const double t = std::copysign(1.0, theta) /
+                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        rotate_cols(a, p, q, c, s);
+        for (std::size_t k = 0; k < n; ++k) {  // and rows p, q: a ← Jᵀ·a·J
+          const double ap = a.at(p, k);
+          const double aq = a.at(q, k);
+          a.at(p, k) = c * ap - s * aq;
+          a.at(q, k) = s * ap + c * aq;
+        }
+        a.at(p, q) = a.at(q, p) = 0.0;
+        rotate_cols(v, p, q, c, s);
       }
     }
-    if (best < 1e-300) return false;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu_.at(pivot, c), lu_.at(col, c));
-      }
-      std::swap(perm_[pivot], perm_[col]);
-    }
-    const double inv = 1.0 / lu_.at(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = lu_.at(r, col) * inv;
-      lu_.at(r, col) = f;
-      for (std::size_t c = col + 1; c < n; ++c) {
-        lu_.at(r, c) -= f * lu_.at(col, c);
-      }
-    }
+    if (!rotated) break;
   }
-  valid_ = true;
-  return true;
-}
-
-void LuFactorization::solve(std::vector<double>& b) const {
-  assert(valid_);
-  const std::size_t n = lu_.size();
-  assert(b.size() == n);
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  // Forward substitution (unit lower triangle).
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) x[i] -= lu_.at(i, j) * x[j];
-  }
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= lu_.at(ii, j) * x[j];
-    x[ii] /= lu_.at(ii, ii);
-  }
-  b = std::move(x);
+  SymmetricEigen e;
+  e.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) e.values[i] = a.at(i, i);
+  e.vectors = std::move(v);
+  return e;
 }
 
 }  // namespace dimetrodon::thermal

@@ -5,8 +5,8 @@
 
 namespace dimetrodon::thermal {
 
-/// Minimal dense linear algebra for the small (≤ ~16 node) thermal networks
-/// this library builds. Row-major square matrices.
+/// Minimal dense linear algebra for the small thermal networks this library
+/// builds. Row-major square matrices.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -55,31 +55,19 @@ void matvec_accumulate(const DenseMatrix& m, const std::vector<double>& x,
 void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
                       std::vector<double>& y);
 
-/// C = A B (A, B same size; C must not alias either operand).
-DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b);
-
-/// C = A + B.
-DenseMatrix matadd(const DenseMatrix& a, const DenseMatrix& b);
-
-/// LU factorization with partial pivoting. Factor once, solve many times —
-/// the implicit-Euler thermal stepper reuses one factorization for every
-/// substep at a fixed dt.
-class LuFactorization {
- public:
-  /// Factor `m`. Returns false (and leaves the object unusable) if the matrix
-  /// is numerically singular.
-  bool factor(const DenseMatrix& m);
-
-  /// Solve A x = b in place; `b` must have size() elements.
-  /// Requires a successful factor().
-  void solve(std::vector<double>& b) const;
-
-  bool valid() const { return valid_; }
-
- private:
-  DenseMatrix lu_;
-  std::vector<std::size_t> perm_;
-  bool valid_ = false;
+/// Eigendecomposition of a real symmetric matrix: A = V·diag(values)·Vᵀ,
+/// with V orthogonal (column j is the eigenvector of values[j]).
+struct SymmetricEigen {
+  std::vector<double> values;
+  DenseMatrix vectors;
 };
+
+/// Cyclic Jacobi eigensolver for the small symmetric matrices the thermal
+/// propagator decomposes once per topology. `a` must be symmetric. An
+/// off-diagonal entry is dropped once it is below ε·√|a_pp·a_qq|, the
+/// relative criterion that keeps small eigenvalues of a scaled, diagonally
+/// dominant matrix accurate. Rotations never touch an exact-zero entry, so
+/// a block-diagonal input stays block-diagonal.
+SymmetricEigen symmetric_eigen(DenseMatrix a);
 
 }  // namespace dimetrodon::thermal

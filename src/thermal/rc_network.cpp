@@ -1,7 +1,8 @@
 #include "thermal/rc_network.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -53,9 +54,8 @@ void RcNetwork::set_conductance(NodeId a, NodeId b,
   for (Edge& e : edges_) {
     if ((e.a == a && e.b == b) || (e.a == b && e.b == a)) {
       e.g = conductance_w_per_c;
-      // The step operators bake G into M = C/dt + G and the lifted powers;
-      // a revision bump makes ensure_structure() drop them all so the next
-      // advance factors against the new conductance.
+      // The modal decomposition bakes in G; a revision bump makes the next
+      // step re-decompose against the new conductance.
       ++topology_revision_;
       return;
     }
@@ -92,197 +92,170 @@ double RcNetwork::total_power() const {
   return sum;
 }
 
-void RcNetwork::ensure_structure() {
+void RcNetwork::ensure_modes() {
   if (built_revision_ == topology_revision_) return;
-  free_index_.assign(nodes_.size(), std::numeric_limits<std::size_t>::max());
+  constexpr std::size_t kFixed = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> row(nodes_.size(), kFixed);
   free_nodes_.clear();
+  capacitance_.clear();
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     if (!nodes_[n].fixed) {
-      free_index_[n] = free_nodes_.size();
+      row[n] = free_nodes_.size();
       free_nodes_.push_back(n);
+      capacitance_.push_back(nodes_[n].capacitance);
     }
   }
-  operators_.clear();
+  const std::size_t nf = free_nodes_.size();
+
+  // G over the free nodes; free-to-fixed edges move to the input term.
+  DenseMatrix g(nf);
+  boundary_.clear();
+  for (const Edge& e : edges_) {
+    const std::size_t ia = row[e.a];
+    const std::size_t ib = row[e.b];
+    if (ia != kFixed) g.at(ia, ia) += e.g;
+    if (ib != kFixed) g.at(ib, ib) += e.g;
+    if (ia != kFixed && ib != kFixed) {
+      g.at(ia, ib) -= e.g;
+      g.at(ib, ia) -= e.g;
+    } else if (ia != kFixed) {
+      boundary_.push_back(BoundaryEdge{ia, e.b, e.g});
+    } else if (ib != kFixed) {
+      boundary_.push_back(BoundaryEdge{ib, e.a, e.g});
+    }
+  }
+  conductance_sum_.resize(nf);
+  for (std::size_t i = 0; i < nf; ++i) conductance_sum_[i] = g.at(i, i);
+
+  // G̃ = D⁻¹·G·D⁻¹ with D = diag(√C) is symmetric (the product of the two
+  // scales commutes exactly), so Jacobi applies.
+  std::vector<double> sqrt_c(nf);
+  for (std::size_t i = 0; i < nf; ++i) sqrt_c[i] = std::sqrt(capacitance_[i]);
+  for (std::size_t i = 0; i < nf; ++i) {
+    for (std::size_t j = 0; j < nf; ++j) {
+      g.at(i, j) /= sqrt_c[i] * sqrt_c[j];
+    }
+  }
+  const SymmetricEigen eig = symmetric_eigen(std::move(g));
+
+  // A free component with no path to a fixed node has one λ = 0 mode, which
+  // Jacobi returns as rounding noise of either sign: snap everything below
+  // 64·n·ε of the largest eigenvalue to an exact 0.
+  double lambda_max = 0.0;
+  for (const double l : eig.values) lambda_max = std::max(lambda_max, l);
+  const double zero_floor = 64.0 * static_cast<double>(nf) *
+                            std::numeric_limits<double>::epsilon() *
+                            lambda_max;
+  lambda_.resize(nf);
+  for (std::size_t j = 0; j < nf; ++j) {
+    lambda_[j] = eig.values[j] <= zero_floor ? 0.0 : eig.values[j];
+  }
+
+  state_to_modal_ = DenseMatrix(nf);
+  input_to_modal_ = DenseMatrix(nf);
+  modal_to_state_ = DenseMatrix(nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    for (std::size_t j = 0; j < nf; ++j) {
+      const double q = eig.vectors.at(i, j);
+      state_to_modal_.at(j, i) = q * sqrt_c[i];
+      input_to_modal_.at(j, i) = q / sqrt_c[i];
+      modal_to_state_.at(i, j) = q / sqrt_c[i];
+    }
+  }
+  t_.assign(nf, 0.0);
+  input_.assign(nf, 0.0);
+  y_.assign(nf, 0.0);
+  beta_.assign(nf, 0.0);
+  ++stats_.factorizations;
   built_revision_ = topology_revision_;
 }
 
-RcNetwork::StepOperator& RcNetwork::operator_for(double dt_seconds) {
-  ensure_structure();
-  ++operator_clock_;
-  for (auto& op : operators_) {
-    if (op->dt == dt_seconds) {
-      op->last_used = operator_clock_;
-      return *op;
+void RcNetwork::check_step(double h) const {
+  // The implicit-Euler matrix C/h + G is singular to working precision when
+  // a row's diagonal underflows the pivot floor of a direct solve.
+  for (std::size_t i = 0; i < capacitance_.size(); ++i) {
+    if (!(capacitance_[i] / h + conductance_sum_[i] >= 1e-300)) {
+      throw std::runtime_error("thermal step matrix is singular");
     }
   }
+}
 
+void RcNetwork::to_modal() {
   const std::size_t nf = free_nodes_.size();
-  DenseMatrix a(nf);
-  // Implicit Euler: (C/dt + G_free) T' = C/dt T + P + G_boundary T_fixed.
-  // Here we assemble M = C/dt + G over free nodes; boundary coupling moves to
-  // the right-hand side at solve time.
   for (std::size_t i = 0; i < nf; ++i) {
-    a.at(i, i) = nodes_[free_nodes_[i]].capacitance / dt_seconds;
+    t_[i] = temps_[free_nodes_[i]];
+    input_[i] = powers_[free_nodes_[i]];
   }
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    if (ia != std::numeric_limits<std::size_t>::max()) a.at(ia, ia) += e.g;
-    if (ib != std::numeric_limits<std::size_t>::max()) a.at(ib, ib) += e.g;
-    if (ia != std::numeric_limits<std::size_t>::max() &&
-        ib != std::numeric_limits<std::size_t>::max()) {
-      a.at(ia, ib) -= e.g;
-      a.at(ib, ia) -= e.g;
-    }
+  for (const BoundaryEdge& b : boundary_) {
+    input_[b.row] += b.g * temps_[b.fixed];
   }
-
-  auto op = std::make_unique<StepOperator>();
-  op->dt = dt_seconds;
-  if (!op->lu.factor(a)) {
-    throw std::runtime_error("thermal step matrix is singular");
-  }
-  ++stats_.factorizations;
-  op->last_used = operator_clock_;
-
-  if (operators_.size() >= kMaxCachedOperators) {
-    std::size_t evict = 0;
-    for (std::size_t i = 1; i < operators_.size(); ++i) {
-      if (operators_[i]->last_used < operators_[evict]->last_used) evict = i;
-    }
-    ++stats_.evictions;
-    operators_[evict] = std::move(op);
-    return *operators_[evict];
-  }
-  operators_.push_back(std::move(op));
-  return *operators_.back();
+  matvec(state_to_modal_, t_, y_);
+  matvec(input_to_modal_, input_, beta_);
+  stats_.matvecs += 2;
 }
 
-void RcNetwork::ensure_levels(StepOperator& op, std::uint64_t substeps) {
-  const std::size_t levels = std::bit_width(substeps);
-  if (op.a_pow.size() >= levels) return;
-  const std::size_t nf = free_nodes_.size();
-  if (op.a_pow.empty()) {
-    // A = M⁻¹ · diag(C/dt): column i is (C_i/dt) · M⁻¹ e_i.
-    DenseMatrix a(nf);
-    std::vector<double> col(nf);
-    for (std::size_t i = 0; i < nf; ++i) {
-      col.assign(nf, 0.0);
-      col[i] = nodes_[free_nodes_[i]].capacitance / op.dt;
-      op.lu.solve(col);
-      ++stats_.solves;
-      for (std::size_t r = 0; r < nf; ++r) a.at(r, i) = col[r];
-    }
-    op.a_pow.push_back(std::move(a));
-    op.s_geo.push_back(DenseMatrix::identity(nf));
-  }
-  while (op.a_pow.size() < levels) {
-    const DenseMatrix& aj = op.a_pow.back();
-    const DenseMatrix& sj = op.s_geo.back();
-    // A^(2^(j+1)) = A^(2^j)·A^(2^j);  S_(2^(j+1)) = S_(2^j) + A^(2^j)·S_(2^j).
-    op.s_geo.push_back(matadd(sj, matmul(aj, sj)));
-    op.a_pow.push_back(matmul(aj, aj));
+void RcNetwork::from_modal() {
+  matvec(modal_to_state_, y_, t_);
+  ++stats_.matvecs;
+  for (std::size_t i = 0; i < free_nodes_.size(); ++i) {
+    temps_[free_nodes_[i]] = t_[i];
   }
 }
 
-void RcNetwork::assemble_input(std::vector<double>& rhs) const {
-  const std::size_t nf = free_nodes_.size();
-  rhs.assign(nf, 0.0);
-  for (std::size_t i = 0; i < nf; ++i) rhs[i] = powers_[free_nodes_[i]];
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    const bool a_free = ia != std::numeric_limits<std::size_t>::max();
-    const bool b_free = ib != std::numeric_limits<std::size_t>::max();
-    if (a_free && !b_free) rhs[ia] += e.g * temps_[e.b];
-    if (b_free && !a_free) rhs[ib] += e.g * temps_[e.a];
+void RcNetwork::euler_step(double h) {
+  for (std::size_t j = 0; j < y_.size(); ++j) {
+    y_[j] = (y_[j] + h * beta_[j]) / (1.0 + h * lambda_[j]);
   }
 }
 
-void RcNetwork::step(double dt_seconds) {
-  assert(dt_seconds > 0.0);
-  StepOperator& op = operator_for(dt_seconds);
-  const std::size_t nf = free_nodes_.size();
-  // Summation order matches the historical stepper exactly so this path is
-  // bit-identical to it (the parity tests pin fast vs sequential to it).
-  rhs_.assign(nf, 0.0);
-  for (std::size_t i = 0; i < nf; ++i) {
-    const NodeId n = free_nodes_[i];
-    rhs_[i] = nodes_[n].capacitance / dt_seconds * temps_[n] + powers_[n];
-  }
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    const bool a_free = ia != std::numeric_limits<std::size_t>::max();
-    const bool b_free = ib != std::numeric_limits<std::size_t>::max();
-    if (a_free && !b_free) rhs_[ia] += e.g * temps_[e.b];
-    if (b_free && !a_free) rhs_[ib] += e.g * temps_[e.a];
-  }
-  op.lu.solve(rhs_);
-  ++stats_.solves;
-  ++stats_.substeps;
-  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = rhs_[i];
-}
+void RcNetwork::advance(double dt_seconds, std::uint64_t substeps,
+                        double tail_seconds) {
+  assert(dt_seconds > 0.0 && tail_seconds >= 0.0);
+  if (substeps == 0 && tail_seconds == 0.0) return;
+  ensure_modes();
+  if (substeps > 0) check_step(dt_seconds);
+  if (tail_seconds > 0.0) check_step(tail_seconds);
+  to_modal();
 
-void RcNetwork::advance(double dt_seconds, std::uint64_t substeps) {
-  assert(dt_seconds > 0.0);
-  if (substeps == 0) return;
   if (substeps == 1) {
-    // Same arithmetic as the sequential reference: bit-identical.
-    step(dt_seconds);
-    return;
+    euler_step(dt_seconds);
+  } else if (substeps > 1) {
+    // y_k = y* + (1 + dt·λ)^(−k)·(y − y*), written as y += (1 − a^k)·(y* − y)
+    // with 1 − a^k = −expm1(−k·log1p(dt·λ)) so neither a slow mode (a^k ≈ 1)
+    // nor a fast one (a^k ≈ 0) loses bits. A zero mode drifts linearly.
+    const double k = static_cast<double>(substeps);
+    for (std::size_t j = 0; j < y_.size(); ++j) {
+      if (lambda_[j] == 0.0) {
+        y_[j] += k * dt_seconds * beta_[j];
+        continue;
+      }
+      const double target = beta_[j] / lambda_[j];
+      const double settled =
+          -std::expm1(-k * std::log1p(dt_seconds * lambda_[j]));
+      y_[j] += settled * (target - y_[j]);
+    }
+    stats_.fast_forward_steps += substeps;
   }
-  StepOperator& op = operator_for(dt_seconds);
-  ensure_levels(op, substeps);
-  const std::size_t nf = free_nodes_.size();
-
-  // Constant input term b = M⁻¹ (P + G_b T_fixed).
-  std::vector<double>& b = rhs_;
-  assemble_input(b);
-  op.lu.solve(b);
-  ++stats_.solves;
-
-  std::vector<double> t(nf);
-  for (std::size_t i = 0; i < nf; ++i) t[i] = temps_[free_nodes_[i]];
-
-  // Apply set bits LSB→MSB; each level-j application advances 2^j substeps:
-  // T ← A^(2^j)·T + S_(2^j)·b. Order is fixed, so results are deterministic.
-  for (std::size_t j = 0; substeps >> j; ++j) {
-    if (((substeps >> j) & 1u) == 0) continue;
-    matvec(op.a_pow[j], t, scratch_);
-    matvec_accumulate(op.s_geo[j], b, scratch_);
-    t.swap(scratch_);
-    stats_.matvecs += 2;
+  if (tail_seconds > 0.0) {
+    euler_step(tail_seconds);
+    ++stats_.substeps;
   }
   stats_.substeps += substeps;
-  stats_.fast_forward_steps += substeps;
-  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = t[i];
+  from_modal();
 }
 
 void RcNetwork::solve_steady_state() {
-  // Steady state is the dt -> infinity limit; assemble G alone.
-  ensure_structure();
-  const std::size_t nf = free_nodes_.size();
-  DenseMatrix g(nf);
-  assemble_input(rhs_);
-  for (const Edge& e : edges_) {
-    const std::size_t ia = free_index_[e.a];
-    const std::size_t ib = free_index_[e.b];
-    const bool a_free = ia != std::numeric_limits<std::size_t>::max();
-    const bool b_free = ib != std::numeric_limits<std::size_t>::max();
-    if (a_free) g.at(ia, ia) += e.g;
-    if (b_free) g.at(ib, ib) += e.g;
-    if (a_free && b_free) {
-      g.at(ia, ib) -= e.g;
-      g.at(ib, ia) -= e.g;
+  // Steady state is the dt -> infinity limit: y* = β/λ on every mode.
+  ensure_modes();
+  for (const double l : lambda_) {
+    if (l == 0.0) {
+      throw std::runtime_error(
+          "thermal network has a free node with no path to a fixed node");
     }
   }
-  LuFactorization lu;
-  if (!lu.factor(g)) {
-    throw std::runtime_error(
-        "thermal network has a free node with no path to a fixed node");
-  }
-  lu.solve(rhs_);
-  for (std::size_t i = 0; i < nf; ++i) temps_[free_nodes_[i]] = rhs_[i];
+  to_modal();
+  for (std::size_t j = 0; j < y_.size(); ++j) y_[j] = beta_[j] / lambda_[j];
+  from_modal();
 }
 
 }  // namespace dimetrodon::thermal

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,14 +19,15 @@ using NodeId = std::size_t;
 /// stable implicit Euler, so the millisecond-scale die dynamics and the
 /// minute-scale heatsink dynamics integrate correctly with one step size.
 ///
-/// Because implicit Euler at a fixed dt is an *affine* map of the free-node
-/// temperature vector — T' = A·T + b with A = M⁻¹·(C/dt), b = M⁻¹·(P + G_b·
-/// T_fixed), M = C/dt + G — k substeps under a constant power vector have the
-/// closed form T_k = A^k·T + (I + A + … + A^(k-1))·b. `advance()` evaluates
-/// that with binary-lifted powers A^(2^j) and matching geometric sums, so a
-/// long fast-forward costs O(log k) small matvecs instead of k linear solves.
-/// A machine network is one connected component of a few free nodes, so the
-/// lifted tables are dense and every matvec takes the dense row kernel.
+/// Stepping is modal. Over the free nodes, with D = diag(√C), the scaled
+/// conductance matrix G̃ = D⁻¹·G·D⁻¹ is symmetric, so it is decomposed once
+/// per topology revision as G̃ = Q·Λ·Qᵀ. In modal coordinates y = Qᵀ·D·T,
+/// with β = Qᵀ·D⁻¹·(P + G_b·T_fixed), implicit Euler at any dt is diagonal:
+/// y' = (y + dt·β)/(1 + dt·λ), and k substeps under a constant power vector
+/// have the closed form y_k = y* + (1 + dt·λ)^(−k)·(y − y*) with y* = β/λ.
+/// Every step therefore costs three O(n²) matvecs at its exact dt, with no
+/// factorization and no per-dt cache; `y` is recomputed from the
+/// temperatures on every call, so the network carries no modal state.
 class RcNetwork {
  public:
   /// Add a thermal mass. `capacitance` must be > 0.
@@ -51,8 +51,8 @@ class RcNetwork {
   /// This is the live-degradation knob — a fan slowing down mid-run changes
   /// the heatsink→ambient conductance of an edge that already exists, which
   /// calling connect() again would NOT do (it appends a parallel edge and
-  /// the conductances would add). Bumps the topology revision so every
-  /// cached step operator is rebuilt against the new G matrix. Throws
+  /// the conductances would add). Bumps the topology revision so the next
+  /// step re-decomposes against the new G matrix. Throws
   /// std::invalid_argument when no such edge exists or g <= 0.
   void set_conductance(NodeId a, NodeId b, double conductance_w_per_c);
 
@@ -78,20 +78,23 @@ class RcNetwork {
   }
 
   /// Advance all free-node temperatures by `dt_seconds` with the current
-  /// power vector held constant (implicit Euler). The LU factorization is
-  /// kept in a small per-dt cache, so alternating between a primary substep
-  /// and partial-remainder chunks does not rebuild the primary factorization.
-  void step(double dt_seconds);
+  /// power vector held constant (one implicit-Euler step; `advance(dt, 1)`).
+  /// Throws std::runtime_error("thermal step matrix is singular") when some
+  /// free row's implicit-Euler diagonal C_i/dt + Σg_i is below 1e-300.
+  void step(double dt_seconds) { advance(dt_seconds, 1); }
 
-  /// Advance `substeps` substeps of `dt_seconds` each, with the current power
-  /// vector held constant, via the closed-form propagator (O(log substeps)
-  /// matvecs). Physics-equivalent to calling `step(dt_seconds)` that many
-  /// times; a single substep routes through the exact step() arithmetic so
-  /// substeps <= 1 are bit-identical to the sequential reference.
-  void advance(double dt_seconds, std::uint64_t substeps);
+  /// Advance `substeps` implicit-Euler substeps of `dt_seconds`, then one
+  /// `tail_seconds` step (skipped when 0), with the current power vector held
+  /// constant, in one pass: one transform into modal coordinates and one
+  /// out. Physics-equivalent to that many sequential step() calls. A single
+  /// substep and the tail use the same arithmetic as step(), so they are
+  /// bit-identical to it. Same singular-matrix throw as step().
+  void advance(double dt_seconds, std::uint64_t substeps,
+               double tail_seconds = 0.0);
 
-  /// Jump straight to the steady state for the current power vector.
-  /// Requires every free node to have a conduction path to a fixed node.
+  /// Jump straight to the steady state (y* = β/λ) for the current power
+  /// vector. Requires every free node to have a conduction path to a fixed
+  /// node: a numerically zero λ throws std::runtime_error.
   void solve_steady_state();
 
   /// Sum of injected power over all nodes (diagnostics / conservation tests).
@@ -101,18 +104,16 @@ class RcNetwork {
   /// machine mirrors these into its obs counter registry).
   struct Stats {
     std::uint64_t substeps = 0;            // substeps integrated, any path
-    std::uint64_t fast_forward_steps = 0;  // substeps covered by lifted matvecs
-    std::uint64_t factorizations = 0;      // step-matrix LU factorizations
-    std::uint64_t solves = 0;              // LU back-substitutions
+    std::uint64_t fast_forward_steps = 0;  // substeps in closed-form k ≥ 2 runs
+    std::uint64_t factorizations = 0;      // modal decompositions (topology)
     std::uint64_t matvecs = 0;             // dense matrix-vector products
-    std::uint64_t evictions = 0;           // StepOperator LRU evictions
   };
   const Stats& stats() const { return stats_; }
 
   /// Portable dynamic state: everything `advance`/`step` read or write that
   /// is not topology. Captured/restored by the machine snapshot layer; the
-  /// per-dt operator cache is deliberately *not* part of it — operators are
-  /// a pure function of (topology, dt) and rebuild lazily with bit-identical
+  /// modal decomposition is deliberately *not* part of it — it is a pure
+  /// function of the topology and rebuilds lazily with bit-identical
   /// arithmetic after a restore.
   struct State {
     std::vector<double> temps;
@@ -136,51 +137,54 @@ class RcNetwork {
     double g;  // W/°C
   };
 
-  /// Everything derived from one (dt, topology) pair: the factored implicit-
-  /// Euler matrix M = C/dt + G, and — built lazily on the first multi-step
-  /// advance — the binary-lifted propagator tables.
-  struct StepOperator {
-    double dt = -1.0;
-    LuFactorization lu;                // M = C/dt + G over free nodes
-    std::vector<DenseMatrix> a_pow;    // A^(2^j)
-    std::vector<DenseMatrix> s_geo;    // I + A + … + A^(2^j - 1)
-    std::uint64_t last_used = 0;       // LRU tick
-  };
-
-  /// Rebuild free_index_/free_nodes_ and drop cached operators if the
+  /// Rebuild the free-node mapping and the modal decomposition if the
   /// topology changed since they were built.
-  void ensure_structure();
+  void ensure_modes();
 
-  /// Cached-or-built operator for this dt (throws on a singular matrix).
-  StepOperator& operator_for(double dt_seconds);
+  /// Throw if some free row's implicit-Euler diagonal C_i/h + Σg_i is below
+  /// the 1e-300 pivot floor (a step at h would be numerically singular).
+  void check_step(double h) const;
 
-  /// Grow op's lifted tables to cover a fast-forward of `substeps`.
-  void ensure_levels(StepOperator& op, std::uint64_t substeps);
+  /// Gather the free-node temperatures and inputs, then y_ = Qᵀ·D·T and
+  /// beta_ = Qᵀ·D⁻¹·(P + G_b·T_fixed).
+  void to_modal();
 
-  /// rhs = P + G_boundary·T_fixed over free nodes (the constant input term).
-  void assemble_input(std::vector<double>& rhs) const;
+  /// temps_ (free nodes) = D⁻¹·Q·y_.
+  void from_modal();
+
+  /// One implicit-Euler step of `h` seconds on every mode. The single
+  /// substep and the tail of advance() both run exactly this arithmetic.
+  void euler_step(double h);
 
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<double> temps_;
   std::vector<double> powers_;
 
-  // Mapping between all nodes and the free (non-fixed) subset the linear
-  // solves operate on.
-  std::vector<std::size_t> free_index_;  // node -> dense row, SIZE_MAX if fixed
-  std::vector<NodeId> free_nodes_;       // dense row -> node
+  /// An edge from free row `row` to fixed node `fixed`: it feeds g·T_fixed
+  /// into that row's input term.
+  struct BoundaryEdge {
+    std::size_t row;
+    NodeId fixed;
+    double g;
+  };
 
-  // Per-dt operator cache. Small and LRU-evicted: the primary substep dt
-  // stays resident across arbitrary partial-remainder chunks.
-  static constexpr std::size_t kMaxCachedOperators = 8;
-  std::vector<std::unique_ptr<StepOperator>> operators_;
-  std::uint64_t operator_clock_ = 0;
-  std::uint64_t topology_revision_ = 0;  // bumped by add_node/connect
+  // Everything below is a pure function of the topology, rebuilt by
+  // ensure_modes() when topology_revision_ moves.
+  std::vector<NodeId> free_nodes_;        // dense row -> node
+  std::vector<BoundaryEdge> boundary_;    // free-to-fixed edges, edge order
+  std::vector<double> capacitance_;       // C_i per free row
+  std::vector<double> conductance_sum_;   // Σg_i per free row (diag of G)
+  std::vector<double> lambda_;            // eigenvalues of G̃, zero modes 0
+  DenseMatrix state_to_modal_;            // Qᵀ·D
+  DenseMatrix input_to_modal_;            // Qᵀ·D⁻¹ (= modal_to_state_ᵀ)
+  DenseMatrix modal_to_state_;            // D⁻¹·Q
+  std::uint64_t topology_revision_ = 0;   // bumped by add_node/connect/...
   std::uint64_t built_revision_ = ~std::uint64_t{0};
 
   Stats stats_;
-  std::vector<double> rhs_;
-  std::vector<double> scratch_;
+  // Per-call scratch, sized once per topology revision.
+  std::vector<double> t_, input_, y_, beta_;
 };
 
 }  // namespace dimetrodon::thermal

@@ -10,6 +10,7 @@
 #include "core/controller.hpp"
 #include "sched/machine.hpp"
 #include "workload/cpuburn.hpp"
+#include "workload/web.hpp"
 
 namespace dimetrodon::sched {
 namespace {
@@ -95,13 +96,37 @@ TEST(ThermalClockTest, ThermalCountersFlowIntoTotals) {
   EXPECT_GT(t.thermal_fast_forward_steps, 0u);
   EXPECT_LE(t.thermal_fast_forward_steps, t.thermal_substeps);
   EXPECT_GT(t.thermal_matvecs, 0u);
-  // The per-dt operator cache keeps factorizations rare: orders of magnitude
-  // below the substep count, not proportional to it.
+  // One modal decomposition per topology keeps factorizations rare: orders
+  // of magnitude below the substep count, not proportional to it.
   EXPECT_GT(t.thermal_factorizations, 0u);
   EXPECT_LT(t.thermal_factorizations * 10, t.thermal_substeps);
   // Fast-forward replaces per-substep solves: far fewer matvecs than the
   // substeps they cover.
   EXPECT_LT(t.thermal_matvecs, t.thermal_fast_forward_steps);
+}
+
+// The propagator's work-counter guard. A web machine under p = 0.5 injection
+// lands nearly every interaction off the 250 µs substep grid, yet the whole
+// run costs one modal decomposition; only a conductance change (the fan)
+// costs another.
+TEST(ThermalClockTest, OffGridWebRunDecomposesOncePerTopology) {
+  Machine m(base_config());
+  workload::WebWorkload::Config wc;
+  wc.connections = 1500;
+  workload::WebWorkload web(wc);
+  web.deploy(m);
+  core::DimetrodonController ctl(m);
+  ctl.sys_set_global(0.5, sim::from_ms(10));
+  m.run_for(sim::from_sec(2));
+  const obs::CounterTotals t = m.counters().totals();
+  EXPECT_EQ(t.thermal_factorizations, 1u);
+  EXPECT_EQ(t.thermal_evictions, 0u);
+  EXPECT_GE(t.thermal_substeps, 8000u);  // 2 s of 250 µs substeps
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    m.set_fan_speed(1.0 - 0.2 * static_cast<double>(i));
+    m.run_for(sim::from_ms(200));
+    EXPECT_EQ(m.counters().totals().thermal_factorizations, 1u + i);
+  }
 }
 
 TEST(ThermalClockTest, FastPathIsDeterministic) {
