@@ -1,129 +1,121 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace dimetrodon::sim {
 
-namespace {
-// Below this heap size compaction isn't worth the pass: the lazy drop at the
-// head already bounds small queues.
-constexpr std::size_t kCompactMinEntries = 64;
-}  // namespace
-
 namespace detail {
 
-std::uint32_t ControlArena::alloc(SimTime at, std::uint64_t seq) {
-  std::uint32_t idx;
-  if (free_head != kNoSlot) {
-    idx = free_head;
-    free_head = slots[idx].next_free;
-  } else {
-    idx = static_cast<std::uint32_t>(slots.size());
-    slots.emplace_back();
-  }
-  ControlSlot& s = slots[idx];
-  s.at = at;
-  s.seq = seq;
-  s.next_free = kNoSlot;
-  s.occupied = true;
-  ++live;
-  return idx;
+namespace {
+bool earlier(const HeapKey& a, const HeapKey& b) {
+  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+}
+}  // namespace
+
+void EventArena::place(std::uint32_t pos, const HeapKey& k) {
+  heap[pos] = k;
+  slots[k.slot].pos = pos;
 }
 
-void ControlArena::release(std::uint32_t idx) {
-  ControlSlot& s = slots[idx];
-  assert(s.occupied);
-  s.occupied = false;
+void EventArena::sift_up(std::uint32_t pos, HeapKey k) {
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!earlier(k, heap[parent])) break;
+    place(pos, heap[parent]);
+    pos = parent;
+  }
+  place(pos, k);
+}
+
+void EventArena::sift_down(std::uint32_t pos, HeapKey k) {
+  const std::size_t n = heap.size();
+  for (std::size_t child; (child = 2 * std::size_t{pos} + 1) < n;) {
+    if (child + 1 < n && earlier(heap[child + 1], heap[child])) ++child;
+    if (!earlier(heap[child], k)) break;
+    place(pos, heap[child]);
+    pos = static_cast<std::uint32_t>(child);
+  }
+  place(pos, k);
+}
+
+std::uint32_t EventArena::insert(SimTime at, std::uint64_t seq,
+                                 std::function<void(SimTime)>&& fn) {
+  std::uint32_t slot;
+  if (free_head != kNoSlot) {
+    slot = free_head;
+    free_head = slots[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(slots.size());
+    slots.emplace_back();
+  }
+  slots[slot].fn = std::move(fn);
+  heap.emplace_back();
+  sift_up(static_cast<std::uint32_t>(heap.size() - 1), HeapKey{at, seq, slot});
+  return slot;
+}
+
+std::function<void(SimTime)> EventArena::remove(std::uint32_t pos) {
+  const std::uint32_t slot = heap[pos].slot;
+  const HeapKey last = heap.back();
+  heap.pop_back();
+  if (pos < heap.size()) {
+    // The last key fills the hole; it may belong above or below it.
+    if (pos > 0 && earlier(last, heap[(pos - 1) / 2])) {
+      sift_up(pos, last);
+    } else {
+      sift_down(pos, last);
+    }
+  }
+  ControlSlot& s = slots[slot];
   ++s.gen;  // every outstanding (slot, gen) capture goes inert
+  s.pos = kNoSlot;
   s.next_free = free_head;
-  free_head = idx;
-  --live;
+  free_head = slot;
+  return std::move(s.fn);
 }
 
 }  // namespace detail
 
 bool EventHandle::cancel() {
-  if (!arena_ || !arena_->matches(slot_, gen_)) return false;
-  arena_->release(slot_);
+  if (!active()) return false;
+  // Dropped only after the arena is consistent again.
+  const auto fn = arena_->remove(arena_->slots[slot_].pos);
   arena_.reset();
   return true;
 }
 
 bool EventHandle::active() const {
-  return arena_ && arena_->matches(slot_, gen_);
+  return arena_ && arena_->pending(slot_, gen_);
 }
 
 SimTime EventHandle::time() const {
-  return active() ? arena_->slots[slot_].at : kTimeInfinity;
+  return active() ? arena_->key(slot_).at : kTimeInfinity;
 }
 
 std::uint64_t EventHandle::seq() const {
-  return active() ? arena_->slots[slot_].seq : 0;
+  return active() ? arena_->key(slot_).seq : 0;
 }
 
 EventHandle EventQueue::schedule(SimTime at, Callback fn) {
   assert(at >= 0);
-  maybe_compact();
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = arena_->alloc(at, seq);
-  const std::uint64_t gen = arena_->slots[slot].gen;
-  heap_.push_back(Entry{at, seq, std::move(fn), slot, gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle(arena_, slot, gen);
-}
-
-void EventQueue::maybe_compact() {
-  // Every heap entry is either pending (counted in arena live) or a stale
-  // carcass awaiting its turn at the head; once carcasses are the majority
-  // of a large heap, sweep them all at once. Amortized O(1) per schedule:
-  // a compaction of n entries is paid for by the >= n/2 cancellations that
-  // forced it.
-  if (heap_.size() < kCompactMinEntries) return;
-  const std::size_t cancelled = heap_.size() - arena_->live;
-  if (cancelled * 2 <= heap_.size()) return;
-  std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.shrink_to_fit();
-}
-
-void EventQueue::drop_cancelled_head() {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
-}
-
-bool EventQueue::empty() {
-  drop_cancelled_head();
-  return heap_.empty();
-}
-
-SimTime EventQueue::next_time() {
-  drop_cancelled_head();
-  return heap_.empty() ? kTimeInfinity : heap_.front().at;
+  const std::uint32_t slot = arena_->insert(at, next_seq_++, std::move(fn));
+  return EventHandle(arena_, slot, arena_->slots[slot].gen);
 }
 
 SimTime EventQueue::pop_and_run() {
-  drop_cancelled_head();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  // Move out before running: the callback may schedule new events and
-  // reallocate the heap storage.
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  arena_->release(e.slot);  // fired: outstanding handles go inert
-  e.fn(e.at);
-  return e.at;
+  assert(!empty());
+  const SimTime at = arena_->heap.front().at;
+  // Moved out before running: the callback may schedule or cancel events,
+  // and its own handles already read inactive.
+  const Callback fn = arena_->remove(0);
+  fn(at);
+  return at;
 }
 
 void EventQueue::clear() {
-  for (const Entry& e : heap_) {
-    if (entry_live(e)) arena_->release(e.slot);
-  }
-  heap_.clear();
-  assert(arena_->live == 0);
+  // Removing the last key never sifts.
+  while (!arena_->heap.empty()) arena_->remove(arena_->heap.size() - 1);
 }
 
 }  // namespace dimetrodon::sim

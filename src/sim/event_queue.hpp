@@ -13,104 +13,123 @@ namespace detail {
 
 inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-/// One control slot in the arena. A slot is (re)used by many events over its
-/// lifetime; `gen` disambiguates: a handle or heap entry captures (slot, gen)
-/// at schedule time and is inert once the generation moves on (the event
-/// fired or was cancelled). `at`/`seq` are mirrored here so a live handle can
-/// report its scheduled time and tie-break rank without touching the heap.
+/// One arena slot. A slot holds one pending event's callback and is reused by
+/// many events over its lifetime; `gen` disambiguates: a handle captures
+/// (slot, gen) at schedule time and is inert once the generation moves on
+/// (the event fired, was cancelled or was cleared). `pos` is the index of the
+/// event's key in the heap while it is pending.
 struct ControlSlot {
+  std::function<void(SimTime)> fn;
   std::uint64_t gen = 0;
-  SimTime at = 0;
-  std::uint64_t seq = 0;
+  std::uint32_t pos = kNoSlot;
   std::uint32_t next_free = kNoSlot;
-  bool occupied = false;
 };
 
-/// Slab of control slots with an intrusive free list. Replaces the previous
-/// one-shared_ptr-allocation-per-event control blocks: steady-state timer
-/// churn (schedule/cancel/fire) recycles slots with zero allocation, and the
-/// live count sits in one place. Held by shared_ptr so handles may safely
-/// outlive the queue.
-struct ControlArena {
-  std::vector<ControlSlot> slots;
-  std::uint32_t free_head = kNoSlot;
-  std::size_t live = 0;
+/// Heap key of one pending event: ordered by (at, seq), a strict total order.
+struct HeapKey {
+  SimTime at;
+  std::uint64_t seq;
+  std::uint32_t slot;
+};
 
-  std::uint32_t alloc(SimTime at, std::uint64_t seq);
-  void release(std::uint32_t idx);  // bump gen, push on free list
-  bool matches(std::uint32_t idx, std::uint64_t gen) const {
-    return idx != kNoSlot && slots[idx].occupied && slots[idx].gen == gen;
+/// Storage shared by an EventQueue and its handles, held by shared_ptr so
+/// handles may outlive the queue. `heap` is a binary min-heap holding exactly
+/// the pending events; each key's slot records its heap index, so removing
+/// any event (the head when it fires, any entry when it is cancelled) is
+/// O(log n). Freed slots go on an intrusive free list, so steady-state timer
+/// churn allocates nothing.
+struct EventArena {
+  std::vector<ControlSlot> slots;
+  std::vector<HeapKey> heap;
+  std::uint32_t free_head = kNoSlot;
+
+  bool pending(std::uint32_t slot, std::uint64_t gen) const {
+    return slots[slot].gen == gen;
   }
+  const HeapKey& key(std::uint32_t slot) const { return heap[slots[slot].pos]; }
+
+  /// Take a slot for `fn` and insert its key; returns the slot.
+  std::uint32_t insert(SimTime at, std::uint64_t seq,
+                       std::function<void(SimTime)>&& fn);
+  /// Remove the key at heap index `pos`, free its slot (bumping gen) and
+  /// return the callback, which the caller runs or drops.
+  std::function<void(SimTime)> remove(std::uint32_t pos);
+
+ private:
+  void place(std::uint32_t pos, const HeapKey& k);
+  void sift_up(std::uint32_t pos, HeapKey k);
+  void sift_down(std::uint32_t pos, HeapKey k);
 };
 
 }  // namespace detail
 
-/// Handle to a scheduled event; allows O(1) cancellation. Cancelled events
-/// stay in the heap but are skipped when popped.
+/// Handle to a scheduled event. cancel() removes the event from its queue at
+/// once (O(log n)); handles are cheap to copy and may outlive the queue.
 class EventHandle {
  public:
   EventHandle() = default;
 
   /// Cancel the event. Safe to call multiple times or on a default-constructed
-  /// (empty) handle; returns true if the event was live and is now cancelled.
+  /// (empty) handle; returns true if the event was pending and is now removed.
   bool cancel();
 
   /// True if this handle refers to an event that has neither fired nor been
   /// cancelled.
   bool active() const;
 
-  /// Scheduled time of a live event; kTimeInfinity if not active().
+  /// Scheduled time of a pending event; kTimeInfinity if not active().
   SimTime time() const;
 
-  /// Tie-break rank of a live event: among events at equal time, lower seq
+  /// Tie-break rank of a pending event: among events at equal time, lower seq
   /// fires first. 0 if not active(). The machine snapshot layer sorts by this
   /// when re-arming so restored ties fire in the captured order.
   std::uint64_t seq() const;
 
  private:
   friend class EventQueue;
-  EventHandle(std::shared_ptr<detail::ControlArena> arena, std::uint32_t slot,
+  EventHandle(std::shared_ptr<detail::EventArena> arena, std::uint32_t slot,
               std::uint64_t gen)
       : arena_(std::move(arena)), slot_(slot), gen_(gen) {}
 
-  std::shared_ptr<detail::ControlArena> arena_;
+  std::shared_ptr<detail::EventArena> arena_;
   std::uint32_t slot_ = detail::kNoSlot;
   std::uint64_t gen_ = 0;
 };
 
-/// Min-heap of timestamped callbacks. Ties break by insertion order so event
-/// delivery is fully deterministic.
-///
-/// Cancellation is lazy, but bounded: when cancelled carcasses outnumber
-/// live events in a sufficiently large heap, the heap is compacted in place,
-/// so timer-churn workloads (a web run cancelling millions of timeouts) hold
-/// O(live) memory instead of growing with cancellation history. Compaction
-/// preserves the (time, seq) total order, so delivery stays deterministic.
+/// Min-heap of timestamped callbacks. Ties break by insertion order (seq), so
+/// (at, seq) totally orders events and delivery is fully deterministic. The
+/// heap holds exactly the pending events: a cancelled event leaves nothing
+/// behind.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
 
-  EventQueue() : arena_(std::make_shared<detail::ControlArena>()) {}
+  EventQueue() : arena_(std::make_shared<detail::EventArena>()) {}
+  ~EventQueue() { clear(); }
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` at absolute time `at`. Requires at >= 0.
   EventHandle schedule(SimTime at, Callback fn);
 
-  /// True if no live events remain. (Lazily discards cancelled heap entries.)
-  bool empty();
+  /// True if no events are pending.
+  bool empty() const { return arena_->heap.empty(); }
 
-  /// Timestamp of the earliest live event; kTimeInfinity when empty.
-  SimTime next_time();
+  /// Timestamp of the earliest pending event; kTimeInfinity when empty.
+  SimTime next_time() const {
+    return empty() ? kTimeInfinity : arena_->heap.front().at;
+  }
 
-  /// Pop and run the earliest live event, returning its timestamp.
+  /// Pop and run the earliest pending event, returning its timestamp.
   /// Requires !empty().
   SimTime pop_and_run();
 
-  /// Number of live (non-cancelled, unfired) events.
-  std::size_t size() const { return arena_->live; }
+  /// Number of pending (non-cancelled, unfired) events.
+  std::size_t size() const { return arena_->heap.size(); }
 
-  /// Heap entries actually held, live + cancelled-but-not-yet-dropped
-  /// (memory-bound diagnostics; compaction keeps this O(size())).
-  std::size_t heap_entries() const { return heap_.size(); }
+  /// Heap entries held. Cancellation removes its entry, so this always
+  /// equals size(); kept for memory-bound diagnostics.
+  std::size_t heap_entries() const { return arena_->heap.size(); }
 
   /// Drop every pending event (their handles go inert, as if cancelled).
   /// Used by snapshot restore, which re-arms the captured event set from
@@ -119,29 +138,8 @@ class EventQueue {
   void clear();
 
  private:
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;
-    Callback fn;
-    std::uint32_t slot;
-    std::uint64_t gen;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool entry_live(const Entry& e) const { return arena_->matches(e.slot, e.gen); }
-  void drop_cancelled_head();
-  void maybe_compact();
-
-  // Managed with std::push_heap/pop_heap rather than std::priority_queue:
-  // compaction needs to walk and filter the underlying storage.
-  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  std::shared_ptr<detail::ControlArena> arena_;
+  std::shared_ptr<detail::EventArena> arena_;
 };
 
 }  // namespace dimetrodon::sim

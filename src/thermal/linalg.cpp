@@ -38,14 +38,6 @@ void matvec(const DenseMatrix& m, const std::vector<double>& x,
   for (std::size_t r = 0; r < n; ++r) y[r] = dot_row(m.row(r), xv, n);
 }
 
-void matvec_accumulate(const DenseMatrix& m, const std::vector<double>& x,
-                       std::vector<double>& y) {
-  const std::size_t n = m.size();
-  assert(x.size() == n && y.size() == n);
-  const double* xv = x.data();
-  for (std::size_t r = 0; r < n; ++r) y[r] += dot_row(m.row(r), xv, n);
-}
-
 void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
                       std::vector<double>& y) {
   const std::size_t n = m.size();

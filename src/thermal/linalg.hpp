@@ -45,12 +45,8 @@ class DenseMatrix {
 void matvec(const DenseMatrix& m, const std::vector<double>& x,
             std::vector<double>& y);
 
-/// y += M x (same contracts and parity guarantee as matvec).
-void matvec_accumulate(const DenseMatrix& m, const std::vector<double>& x,
-                       std::vector<double>& y);
-
 /// The textbook row-loop matvec, kept as the parity oracle: tests assert
-/// the unrolled kernels match it bit-for-bit, and the microbench reports
+/// the unrolled kernel matches it bit-for-bit, and the microbench reports
 /// the unroll's speedup against it.
 void matvec_reference(const DenseMatrix& m, const std::vector<double>& x,
                       std::vector<double>& y);
