@@ -673,8 +673,8 @@ std::size_t Cluster::admin_join(const NodeSpec& spec, sim::SimTime warmup) {
     // fresh node, which then advances [warmup, now()]. Controller and
     // governor attach AFTER the restore (injection hooks and governor
     // timers are not snapshot-capable). Configs that cannot snapshot at
-    // all (power meter, machine trace sink, reference stepper, closed-loop
-    // web connections) fall back to a cold join.
+    // all (power meter, machine trace sink, reference stepper, behaviours
+    // without save_state — WebWorkload's, today) fall back to a cold join.
     try {
       sched::Machine tmpl(mc);
       workload::WebWorkload tmpl_web(config_.web);

@@ -298,9 +298,11 @@ class Cluster {
   /// its snapshot restores into the real node, the controller/governor
   /// attach post-restore, and the node advances [warmup, now()] — so a warm
   /// join needs warmup <= now() and a snapshot-capable config (no power
-  /// meter, no machine trace sink, no reference stepper, no closed-loop web
-  /// connections); anything else falls back to a cold join (constructed at
-  /// t = 0 and advanced to now()), marked in the kNodeJoin trace event.
+  /// meter, no machine trace sink, no reference stepper, snapshot-capable
+  /// thread behaviours); anything else falls back to a cold join
+  /// (constructed at t = 0 and advanced to now()), marked in the kNodeJoin
+  /// trace event. WebWorkload's behaviours cannot snapshot, so today every
+  /// join of a web node is cold.
   std::size_t admin_join(const NodeSpec& spec, sim::SimTime warmup = 0);
   /// Retarget the node's open-loop injection probability/quantum live. On a
   /// governed node this drives the arbiter's preventive channel (claimed

@@ -17,6 +17,31 @@ enum class CoreActivity : std::uint8_t {
   kIdleExiting,     // transitioning back to C0
 };
 
+/// What a pending machine-scheduled event does when it fires. Each kind has
+/// one owner type and one slot per owner (FreeBSD's callout(9) idiom: the
+/// timer record lives in the structure it belongs to), so the machine's whole
+/// set of self-scheduled events is an inventory of (kind, owner) slots.
+enum class TimerKind : std::uint8_t {
+  // Core-owned (owner = CoreId).
+  kSegmentEnd,       // Core::timer: execution segment / timeslice end
+  kInjectedIdleEnd,  // Core::timer: injected idle quantum end (§3.1)
+  kIdleEntered,      // Core::transition_timer: C-state entry complete
+  kIdleExited,       // Core::transition_timer: C-state exit complete
+  // Thread-owned (owner = ThreadId).
+  kWake,             // timed-sleep wakeup
+  kInjectionResume,  // end of an injection suspension
+  // Machine-owned (owner = 0).
+  kWatchdog,         // thermal watchdog advance
+  kSchedcpu,         // 1 Hz scheduler recomputation
+  kMonitor,          // hardware thermal monitor (PROCHOT) poll
+};
+
+/// One timer slot: the pending event (if any) and what it does.
+struct Timer {
+  sim::EventHandle handle;
+  TimerKind kind = TimerKind::kSegmentEnd;
+};
+
 /// Per-core execution state, owned by the Machine.
 struct Core {
   CoreId id = 0;
@@ -32,8 +57,8 @@ struct Core {
   std::size_t dvfs_level = 0;
   std::size_t duty_step_user = 8;  // software-requested TCC duty step
 
-  sim::EventHandle timer;          // segment end / idle-quantum end
-  sim::EventHandle transition_timer;
+  Timer timer;             // segment end / idle-quantum end
+  Timer transition_timer;  // C-state entry/exit completion
 
   // Execution segment bookkeeping.
   sim::SimTime segment_start = 0;      // when useful execution began

@@ -79,10 +79,61 @@ Machine::Machine(MachineConfig config)
   if (config_.thermal_reference_stepper) {
     schedule_substep();
   } else {
-    schedule_thermal_watchdog();
+    arm(TimerKind::kWatchdog, 0, sim_.now() + config_.thermal_watchdog);
   }
-  schedule_schedcpu();
-  if (config_.hw_thermal_throttle) schedule_thermal_monitor();
+  arm(TimerKind::kSchedcpu, 0, sim_.now() + sim::kSecond);
+  if (config_.hw_thermal_throttle) {
+    arm(TimerKind::kMonitor, 0, sim_.now() + config_.thermal_monitor_period);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Timers
+// --------------------------------------------------------------------------
+
+Timer& Machine::timer_slot(TimerKind kind, std::uint32_t owner) {
+  switch (kind) {
+    case TimerKind::kSegmentEnd:
+    case TimerKind::kInjectedIdleEnd: return cores_.at(owner).timer;
+    case TimerKind::kIdleEntered:
+    case TimerKind::kIdleExited: return cores_.at(owner).transition_timer;
+    case TimerKind::kWake:
+    case TimerKind::kInjectionResume: return thread_timers_.at(owner).timer;
+    case TimerKind::kWatchdog: return watchdog_timer_;
+    case TimerKind::kSchedcpu: return schedcpu_timer_;
+    case TimerKind::kMonitor: return monitor_timer_;
+  }
+  throw std::invalid_argument("unknown timer kind");
+}
+
+void Machine::arm(TimerKind kind, std::uint32_t owner, sim::SimTime at) {
+  Timer& slot = timer_slot(kind, owner);
+  slot.handle.cancel();
+  slot.kind = kind;
+  // 16 bytes of capture: fits std::function's local buffer, no allocation.
+  slot.handle =
+      sim_.at(at, [this, kind, owner](sim::SimTime) { fire(kind, owner); });
+}
+
+void Machine::fire(TimerKind kind, std::uint32_t owner) {
+  const sim::SimTime now = sim_.now();
+  switch (kind) {
+    case TimerKind::kSegmentEnd: return on_segment_end(cores_[owner]);
+    case TimerKind::kInjectedIdleEnd: return end_injected_idle(cores_[owner]);
+    case TimerKind::kIdleEntered: return finish_idle_entry(cores_[owner]);
+    case TimerKind::kIdleExited: return finish_idle_exit(cores_[owner]);
+    case TimerKind::kWake: return wake_thread(owner);
+    case TimerKind::kInjectionResume: return resume_from_injection(owner);
+    case TimerKind::kWatchdog:
+      advance_thermal(now);
+      return arm(kind, 0, now + config_.thermal_watchdog);
+    case TimerKind::kSchedcpu:
+      scheduler_->periodic(scheduler_->runnable_count(), now);
+      return arm(kind, 0, now + sim::kSecond);
+    case TimerKind::kMonitor:
+      thermal_monitor_tick();
+      return arm(kind, 0, now + config_.thermal_monitor_period);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -231,17 +282,6 @@ void Machine::schedule_substep() {
   });
 }
 
-sim::EventHandle Machine::arm_thermal_watchdog(sim::SimTime at) {
-  return sim_.at(at, [this](sim::SimTime t) {
-    advance_thermal(t);
-    schedule_thermal_watchdog();
-  });
-}
-
-void Machine::schedule_thermal_watchdog() {
-  watchdog_timer_ = arm_thermal_watchdog(sim_.now() + config_.thermal_watchdog);
-}
-
 void Machine::schedule_meter_sample() {
   sim_.after(meter_->sample_interval(), [this](sim::SimTime t) {
     advance_thermal(t);
@@ -270,17 +310,6 @@ void Machine::schedule_trace_sensor() {
     tracer_.thermal_stat(t, obs::ThermalStatKind::kMatvecs, s.matvecs);
     schedule_trace_sensor();
   });
-}
-
-sim::EventHandle Machine::arm_schedcpu(sim::SimTime at) {
-  return sim_.at(at, [this](sim::SimTime t) {
-    scheduler_->periodic(scheduler_->runnable_count(), t);
-    schedule_schedcpu();
-  });
-}
-
-void Machine::schedule_schedcpu() {
-  schedcpu_timer_ = arm_schedcpu(sim_.now() + sim::kSecond);
 }
 
 double Machine::current_total_power() {
@@ -329,6 +358,7 @@ ThreadId Machine::create_thread(std::string name, ThreadClass cls, int nice,
   t->set_state(ThreadState::kSleeping);  // make_runnable flips it
   Thread& ref = *t;
   threads_.push_back(std::move(t));
+  thread_timers_.emplace_back();
   ++live_threads_;
   make_runnable(ref);
   return id;
@@ -340,6 +370,9 @@ void Machine::wake_thread(ThreadId id) {
   // An injection-suspended thread stays descheduled until its idle quantum
   // expires; external wakeups do not cut the quantum short.
   if (t.injection_suspended()) return;
+  // An early wake ends a timed sleep: stop its wakeup (FreeBSD's wakeup()
+  // stops the sleep callout) so it cannot fire into a later sleep.
+  thread_timers_[id].timer.handle.cancel();
   make_runnable(t);
 }
 
@@ -444,59 +477,29 @@ void Machine::suspend_for_injection(Thread& t, CoreId where,
   t.set_injection_suspended(true);
   const ThreadId victim = t.id();
   tracer_.injection_begin(sim_.now(), where, victim, quantum);
-  arm_injection_resume(victim, where, quantum, sim_.now() + quantum);
+  ThreadTimer& tt = thread_timers_[victim];
+  tt.suspended_on = where;
+  tt.suspended_for = quantum;
+  arm(TimerKind::kInjectionResume, victim, sim_.now() + quantum);
 }
 
-void Machine::arm_injection_resume(ThreadId victim, CoreId where,
-                                   sim::SimTime quantum, sim::SimTime at) {
-  ThreadTimer tt;
-  tt.kind = ThreadTimer::Kind::kInjectionResume;
-  tt.thread = victim;
-  tt.where = where;
-  tt.quantum = quantum;
-  tt.handle = sim_.at(at, [this, victim, where, quantum](sim::SimTime now) {
-    Thread& v = *threads_.at(victim);
-    if (!v.injection_suspended()) return;
-    v.set_injection_suspended(false);
-    // The suspension always runs its full quantum (wake_thread refuses to
-    // cut it short), so the realized duration equals the request.
-    tracer_.injection_end(now, where, victim, quantum);
-    if (hook_ != nullptr) {
-      hook_->on_injection_complete(v, v.last_core(), now);
-    }
-    make_runnable(v);
-  });
-  track_thread_timer(std::move(tt));
-}
-
-void Machine::arm_sleep_wake(ThreadId id, sim::SimTime at) {
-  ThreadTimer tt;
-  tt.kind = ThreadTimer::Kind::kWake;
-  tt.thread = id;
-  tt.handle = sim_.at(at, [this, id](sim::SimTime) { wake_thread(id); });
-  track_thread_timer(std::move(tt));
-}
-
-void Machine::track_thread_timer(ThreadTimer&& t) {
-  // Lazy compaction: fired/cancelled handles go inert rather than being
-  // erased eagerly, so drop them in bulk once they dominate the registry.
-  if (thread_timers_.size() >= 64) {
-    std::size_t live = 0;
-    for (const ThreadTimer& tt : thread_timers_) {
-      if (tt.handle.active()) ++live;
-    }
-    if (live * 2 <= thread_timers_.size()) {
-      std::erase_if(thread_timers_, [](const ThreadTimer& tt) {
-        return !tt.handle.active();
-      });
-    }
+void Machine::resume_from_injection(ThreadId victim) {
+  Thread& v = *threads_[victim];
+  if (!v.injection_suspended()) return;
+  v.set_injection_suspended(false);
+  // The suspension always runs its full quantum (wake_thread refuses to cut
+  // it short), so the realized duration equals the request.
+  const ThreadTimer& tt = thread_timers_[victim];
+  tracer_.injection_end(sim_.now(), tt.suspended_on, victim, tt.suspended_for);
+  if (hook_ != nullptr) {
+    hook_->on_injection_complete(v, v.last_core(), sim_.now());
   }
-  thread_timers_.push_back(std::move(t));
+  make_runnable(v);
 }
 
 void Machine::stop_current(Core& core, sim::SimTime now) {
   advance_thermal(now);
-  core.timer.cancel();
+  core.timer.handle.cancel();
   Thread& t = *core.current;
   const double rate = execution_rate(core);
   const double elapsed =
@@ -625,11 +628,8 @@ void Machine::plan_segment(Core& core) {
       finish_seconds > 1e6
           ? sim::kTimeInfinity
           : core.segment_start + sim::from_sec(finish_seconds) + 1;
-  const sim::SimTime seg_end = std::min(core.quantum_deadline, finish_at);
-  core.timer.cancel();
-  core.timer = sim_.at(seg_end, [this, &core](sim::SimTime) {
-    on_segment_end(core);
-  });
+  arm(TimerKind::kSegmentEnd, core.id,
+      std::min(core.quantum_deadline, finish_at));
 }
 
 void Machine::on_segment_end(Core& core) {
@@ -682,8 +682,8 @@ void Machine::on_segment_end(Core& core) {
       sibling_checkpoint(core);
       core.current = nullptr;
       replan_sibling(core);
-      arm_sleep_wake(t.id(),
-                     sim_.now() + std::max<sim::SimTime>(outcome.sleep_for, 0));
+      arm(TimerKind::kWake, t.id(),
+          now + std::max<sim::SimTime>(outcome.sleep_for, 0));
       dispatch(core);
       return;
     }
@@ -732,15 +732,11 @@ void Machine::enter_idle(Core& core, bool injected, sim::SimTime quantum,
   }
 
   const auto info = power::cstate_info(config_.idle_cstate);
-  core.transition_timer.cancel();
-  core.transition_timer = sim_.after(
-      info.entry_latency,
-      [this, &core](sim::SimTime) { finish_idle_entry(core); });
-  core.timer.cancel();
+  arm(TimerKind::kIdleEntered, core.id, sim_.now() + info.entry_latency);
   if (injected) {
-    core.timer = sim_.after(quantum, [this, &core](sim::SimTime) {
-      end_injected_idle(core);
-    });
+    arm(TimerKind::kInjectedIdleEnd, core.id, sim_.now() + quantum);
+  } else {
+    core.timer.handle.cancel();
   }
 }
 
@@ -757,7 +753,7 @@ void Machine::finish_idle_entry(Core& core) {
 void Machine::end_injected_idle(Core& core) {
   assert(core.injected_idle);
   advance_thermal(sim_.now());
-  core.timer.cancel();
+  core.timer.handle.cancel();
   Thread* victim = core.injection_victim;
   if (victim != nullptr) {
     victim->set_injection_pin(kNoCore);
@@ -792,15 +788,12 @@ void Machine::begin_idle_exit(Core& core) {
   core.injected_idle = false;
   core.injection_victim = nullptr;
 
-  core.transition_timer.cancel();
   core.activity = CoreActivity::kIdleExiting;
   tracer_.cstate_change(sim_.now(), core.id, obs::CStatePhase::kExitBegin,
                         static_cast<std::uint8_t>(config_.idle_cstate));
   core.op.in_transition = true;
   const auto info = power::cstate_info(config_.idle_cstate);
-  core.transition_timer = sim_.after(
-      info.exit_latency,
-      [this, &core](sim::SimTime) { finish_idle_exit(core); });
+  arm(TimerKind::kIdleExited, core.id, sim_.now() + info.exit_latency);
 }
 
 void Machine::finish_idle_exit(Core& core) {
@@ -893,15 +886,6 @@ void Machine::apply_effective_duty(Core& c) {
       static_cast<double>(step) / power::ClockModulation::kNumSteps;
 }
 
-sim::EventHandle Machine::arm_thermal_monitor(sim::SimTime at) {
-  return sim_.at(at, [this](sim::SimTime) { thermal_monitor_tick(); });
-}
-
-void Machine::schedule_thermal_monitor() {
-  monitor_timer_ =
-      arm_thermal_monitor(sim_.now() + config_.thermal_monitor_period);
-}
-
 void Machine::thermal_monitor_tick() {
   advance_thermal(sim_.now());
   for (std::size_t phys = 0; phys < config_.num_cores; ++phys) {
@@ -928,7 +912,6 @@ void Machine::thermal_monitor_tick() {
       }
     }
   }
-  schedule_thermal_monitor();
 }
 
 void Machine::set_all_clock_duty_steps(std::size_t step) {
@@ -963,18 +946,6 @@ void Machine::call_at(sim::SimTime when, std::function<void(sim::SimTime)> fn) {
 // --------------------------------------------------------------------------
 // Snapshot / warm-start
 // --------------------------------------------------------------------------
-
-namespace {
-MachineSnapshot::EventStamp stamp_of(const sim::EventHandle& h) {
-  MachineSnapshot::EventStamp e;
-  e.armed = h.active();
-  if (e.armed) {
-    e.at = h.time();
-    e.seq = h.seq();
-  }
-  return e;
-}
-}  // namespace
 
 void Machine::check_snapshot_preconditions() const {
   if (meter_.has_value()) {
@@ -1032,6 +1003,8 @@ MachineSnapshot Machine::snapshot() {
     ts.estcpu = t.estcpu();
     ts.sleep_started_at = t.sleep_started_at();
     ts.last_core = t.last_core();
+    ts.suspended_on = thread_timers_[t.id()].suspended_on;
+    ts.suspended_for = thread_timers_[t.id()].suspended_for;
     ts.rng = t.rng();
     if (!t.behavior().save_state(ts.behavior_state)) {
       throw std::runtime_error("machine snapshot: thread '" + t.name() +
@@ -1040,7 +1013,6 @@ MachineSnapshot Machine::snapshot() {
     s.threads.push_back(std::move(ts));
   }
 
-  std::size_t armed = 0;
   s.cores.reserve(cores_.size());
   for (const Core& c : cores_) {
     MachineSnapshot::CoreSnap cs;
@@ -1064,40 +1036,32 @@ MachineSnapshot Machine::snapshot() {
     cs.dispatches = c.dispatches;
     cs.injections = c.injections;
     cs.context_switches = c.context_switches;
-    cs.timer = stamp_of(c.timer);
-    cs.transition_timer = stamp_of(c.transition_timer);
-    armed += cs.timer.armed ? 1 : 0;
-    armed += cs.transition_timer.armed ? 1 : 0;
     s.cores.push_back(cs);
   }
 
-  for (const ThreadTimer& tt : thread_timers_) {
-    if (!tt.handle.active()) continue;
-    MachineSnapshot::ThreadTimerSnap tts;
-    tts.kind = static_cast<std::uint8_t>(tt.kind);
-    tts.thread = tt.thread;
-    tts.where = tt.where;
-    tts.quantum = tt.quantum;
-    tts.at = tt.handle.time();
-    tts.seq = tt.handle.seq();
-    s.thread_timers.push_back(tts);
-    ++armed;
+  const auto capture = [&s](const Timer& t, std::uint32_t owner) {
+    if (t.handle.active()) {
+      s.timers.push_back({t.kind, owner, t.handle.time(), t.handle.seq()});
+    }
+  };
+  for (const Core& c : cores_) {
+    capture(c.timer, c.id);
+    capture(c.transition_timer, c.id);
   }
+  for (std::size_t i = 0; i < thread_timers_.size(); ++i) {
+    capture(thread_timers_[i].timer, static_cast<std::uint32_t>(i));
+  }
+  capture(watchdog_timer_, 0);
+  capture(schedcpu_timer_, 0);
+  capture(monitor_timer_, 0);
 
-  s.watchdog = stamp_of(watchdog_timer_);
-  s.schedcpu = stamp_of(schedcpu_timer_);
-  s.monitor = stamp_of(monitor_timer_);
-  armed += s.watchdog.armed ? 1 : 0;
-  armed += s.schedcpu.armed ? 1 : 0;
-  armed += s.monitor.armed ? 1 : 0;
-
-  // Reconcile the tracked-event inventory against the queue's live count.
-  // Anything we cannot account for (a workload call_at timer, a harness
-  // callback) would be silently dropped by restore, so refuse.
-  if (armed != sim_.queue().size()) {
+  // Reconcile the timer inventory against the queue's live count. Anything
+  // we cannot account for (a workload call_at timer, a harness callback)
+  // would be silently dropped by restore, so refuse.
+  if (s.timers.size() != sim_.queue().size()) {
     throw std::runtime_error(
         "machine snapshot: " + std::to_string(sim_.queue().size()) +
-        " pending events but only " + std::to_string(armed) +
+        " pending events but only " + std::to_string(s.timers.size()) +
         " tracked by the machine (external call_at timers pending?)");
   }
 
@@ -1136,7 +1100,6 @@ void Machine::restore(const MachineSnapshot& s) {
   // Drop everything this machine scheduled so far (construction + workload
   // deployment events); the captured event set replaces it wholesale.
   sim_.reset_for_restore(s.now, s.events_executed);
-  thread_timers_.clear();
 
   master_rng_ = s.master_rng;
   network_.restore_state(s.thermal);
@@ -1168,6 +1131,8 @@ void Machine::restore(const MachineSnapshot& s) {
     t.set_estcpu(ts.estcpu);
     t.set_sleep_started_at(ts.sleep_started_at);
     t.set_last_core(ts.last_core);
+    thread_timers_[i].suspended_on = ts.suspended_on;
+    thread_timers_[i].suspended_for = ts.suspended_for;
     t.rng() = ts.rng;
     t.behavior().load_state(ts.behavior_state);
   }
@@ -1206,88 +1171,15 @@ void Machine::restore(const MachineSnapshot& s) {
     c.dispatches = cs.dispatches;
     c.injections = cs.injections;
     c.context_switches = cs.context_switches;
-    c.timer = sim::EventHandle();
-    c.transition_timer = sim::EventHandle();
   }
 
   // Re-arm the captured pending events in ascending captured-seq order so
   // same-timestamp events (the recurring watchdog/schedcpu/monitor trio ties
   // regularly) fire in exactly the captured interleaving.
-  struct Arm {
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  std::vector<Arm> arms;
-  if (s.watchdog.armed) {
-    arms.push_back({s.watchdog.seq, [this, at = s.watchdog.at] {
-                      watchdog_timer_ = arm_thermal_watchdog(at);
-                    }});
-  }
-  if (s.schedcpu.armed) {
-    arms.push_back({s.schedcpu.seq, [this, at = s.schedcpu.at] {
-                      schedcpu_timer_ = arm_schedcpu(at);
-                    }});
-  }
-  if (s.monitor.armed) {
-    arms.push_back({s.monitor.seq, [this, at = s.monitor.at] {
-                      monitor_timer_ = arm_thermal_monitor(at);
-                    }});
-  }
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    Core& c = cores_[i];
-    const MachineSnapshot::CoreSnap& cs = s.cores[i];
-    if (cs.timer.armed) {
-      // An executing core's timer ends the segment; an injected-idle core's
-      // timer ends the idle quantum (mirrors plan_segment / enter_idle).
-      if (cs.injected_idle) {
-        arms.push_back({cs.timer.seq, [this, &c, at = cs.timer.at] {
-                          c.timer = sim_.at(at, [this, &c](sim::SimTime) {
-                            end_injected_idle(c);
-                          });
-                        }});
-      } else {
-        arms.push_back({cs.timer.seq, [this, &c, at = cs.timer.at] {
-                          c.timer = sim_.at(at, [this, &c](sim::SimTime) {
-                            on_segment_end(c);
-                          });
-                        }});
-      }
-    }
-    if (cs.transition_timer.armed) {
-      if (cs.activity == CoreActivity::kIdleEntering) {
-        arms.push_back(
-            {cs.transition_timer.seq, [this, &c, at = cs.transition_timer.at] {
-               c.transition_timer = sim_.at(
-                   at, [this, &c](sim::SimTime) { finish_idle_entry(c); });
-             }});
-      } else if (cs.activity == CoreActivity::kIdleExiting) {
-        arms.push_back(
-            {cs.transition_timer.seq, [this, &c, at = cs.transition_timer.at] {
-               c.transition_timer = sim_.at(
-                   at, [this, &c](sim::SimTime) { finish_idle_exit(c); });
-             }});
-      } else {
-        throw std::invalid_argument(
-            "machine restore: transition timer armed but core is neither "
-            "entering nor exiting idle");
-      }
-    }
-  }
-  for (const MachineSnapshot::ThreadTimerSnap& tts : s.thread_timers) {
-    if (static_cast<ThreadTimer::Kind>(tts.kind) == ThreadTimer::Kind::kWake) {
-      arms.push_back({tts.seq, [this, id = tts.thread, at = tts.at] {
-                        arm_sleep_wake(id, at);
-                      }});
-    } else {
-      arms.push_back({tts.seq, [this, tts] {
-                        arm_injection_resume(tts.thread, tts.where,
-                                             tts.quantum, tts.at);
-                      }});
-    }
-  }
-  std::sort(arms.begin(), arms.end(),
-            [](const Arm& a, const Arm& b) { return a.seq < b.seq; });
-  for (const Arm& a : arms) a.fn();
+  std::vector<MachineSnapshot::TimerSnap> timers = s.timers;
+  std::sort(timers.begin(), timers.end(),
+            [](const auto& a, const auto& b) { return a.seq < b.seq; });
+  for (const auto& t : timers) arm(t.kind, t.owner, t.at);
 }
 
 }  // namespace dimetrodon::sched

@@ -23,12 +23,12 @@
 
 namespace dimetrodon::sched {
 
-/// Configuration of the simulated server (defaults reproduce the paper's
-/// testbed, §3.2).
 /// Which scheduler implementation drives the machine. The paper modified
 /// the 4.4BSD scheduler; ULE is the generalization its footnote promises.
 enum class SchedulerKind : std::uint8_t { kBsd, kUle };
 
+/// Configuration of the simulated server (defaults reproduce the paper's
+/// testbed, §3.2).
 struct MachineConfig {
   /// Physical cores (each with its own die node in the thermal network).
   std::size_t num_cores = 4;
@@ -131,8 +131,9 @@ struct MachineConfig {
 
 /// The simulated server: four cores under a 4.4BSD scheduler, an RC thermal
 /// stack, a dynamic+leakage power model, coretemp-style sensors and a clamp
-/// power meter. This is the substrate on which Dimetrodon (src/core) and the
-/// baseline policies (src/policy) act.
+/// power meter. This is the substrate on which Dimetrodon (src/core), the
+/// feedback governors (src/control) and the DVFS / clock-modulation
+/// baselines (harness::ActuationSpec) act.
 class Machine {
  public:
   explicit Machine(MachineConfig config);
@@ -173,8 +174,9 @@ class Machine {
   /// `fraction` (same (0, 1] domain and pow(f, 0.8) affinity law as the
   /// construction-time FloorplanParams::fan_speed_fraction). The thermal
   /// state is first fast-forwarded to "now" so the span already elapsed
-  /// integrates under the old conductance; cached step operators rebuild
-  /// lazily against the new one. Throws std::invalid_argument outside (0, 1].
+  /// integrates under the old conductance; the network's modal decomposition
+  /// is rebuilt once for the new topology at the next advance. Throws
+  /// std::invalid_argument outside (0, 1].
   void set_fan_speed(double fraction);
 
   /// p4tcc-style clock duty step (1..8 meaning 12.5%..100%). This sets the
@@ -296,6 +298,7 @@ class Machine {
   void finish_idle_exit(Core& core);
   void make_runnable(Thread& t);
   void suspend_for_injection(Thread& t, CoreId where, sim::SimTime quantum);
+  void resume_from_injection(ThreadId victim);
   void stop_current(Core& core, sim::SimTime now);
   void checkpoint_segment(Core& core);
   bool try_kick_idle_core(Thread& t);
@@ -313,20 +316,9 @@ class Machine {
   void apply_powers(double span_seconds);
   void sync_thermal_counters();
   void schedule_substep();
-  void schedule_thermal_watchdog();
   void schedule_meter_sample();
   void schedule_trace_sensor();
-  void schedule_schedcpu();
-  void schedule_thermal_monitor();
-  // Absolute-time arming primitives shared by the periodic schedulers above
-  // and snapshot restore (which re-arms captured events at captured times).
   void check_snapshot_preconditions() const;
-  sim::EventHandle arm_thermal_watchdog(sim::SimTime at);
-  sim::EventHandle arm_schedcpu(sim::SimTime at);
-  sim::EventHandle arm_thermal_monitor(sim::SimTime at);
-  void arm_sleep_wake(ThreadId id, sim::SimTime at);
-  void arm_injection_resume(ThreadId victim, CoreId where, sim::SimTime quantum,
-                            sim::SimTime at);
   void thermal_monitor_tick();
   void apply_effective_duty(Core& c);
   double core_power_now(const Core& c) const;
@@ -354,25 +346,26 @@ class Machine {
 
   sim::SimTime last_thermal_update_ = 0;
 
-  // Handles to the machine's recurring self-rescheduling events, plus a
-  // registry of in-flight per-thread timers (timed-sleep wakeups and
-  // injection-suspension expiries, with the payloads their callbacks close
-  // over). Together with the per-core timers these account for every event
-  // the machine itself puts in the queue — the inventory snapshot() captures
-  // and reconciles against the queue's live count.
-  sim::EventHandle watchdog_timer_;
-  sim::EventHandle schedcpu_timer_;
-  sim::EventHandle monitor_timer_;
+  // Timer inventory. Every event the machine schedules for itself occupies
+  // one (TimerKind, owner) slot: two per core (Core::timer,
+  // Core::transition_timer), one per thread and one per machine-wide periodic
+  // event. arm() is the only way in and fire() the only way out, so the slots
+  // are exactly what snapshot() captures and reconciles against the queue.
+  void arm(TimerKind kind, std::uint32_t owner, sim::SimTime at);
+  void fire(TimerKind kind, std::uint32_t owner);
+  Timer& timer_slot(TimerKind kind, std::uint32_t owner);
+
+  Timer watchdog_timer_;
+  Timer schedcpu_timer_;
+  Timer monitor_timer_;
+  // A thread has at most one pending timer: a timed-sleep wakeup or the end
+  // of an injection suspension (with the payload the latter reports).
   struct ThreadTimer {
-    enum class Kind : std::uint8_t { kWake = 0, kInjectionResume = 1 };
-    Kind kind = Kind::kWake;
-    ThreadId thread = kInvalidThread;
-    CoreId where = kNoCore;    // injection-resume only
-    sim::SimTime quantum = 0;  // injection-resume only
-    sim::EventHandle handle;
+    Timer timer;
+    CoreId suspended_on = kNoCore;
+    sim::SimTime suspended_for = 0;
   };
-  std::vector<ThreadTimer> thread_timers_;
-  void track_thread_timer(ThreadTimer&& t);
+  std::vector<ThreadTimer> thread_timers_;  // indexed by ThreadId
 
   // Power-window accumulators for steady-state jumps (joules per node).
   std::vector<double> window_node_joules_;

@@ -23,8 +23,10 @@ namespace dimetrodon::sched {
 /// request outcomes, same event interleavings — to one that simply kept
 /// running past the capture point. Two things make that exact:
 ///
-///  * every pending event is captured with its (time, seq) pair and re-armed
-///    in ascending seq order, so events that tie on the timestamp (the
+///  * every pending event the machine scheduled for itself sits in one
+///    (TimerKind, owner) slot, so the event set is captured as one list of
+///    (kind, owner, time, seq) entries and re-armed through the same arming
+///    path in ascending seq order; events that tie on the timestamp (the
 ///    recurring watchdog/schedcpu/monitor trio regularly does) fire in the
 ///    captured order, and
 ///  * all stochastic state (master RNG, per-thread RNG streams, cached
@@ -37,9 +39,11 @@ namespace dimetrodon::sched {
 /// and anything precondition-excluded by Machine::snapshot (meter, trace
 /// sink, reference stepper, an attached injection hook).
 struct MachineSnapshot {
-  /// One captured pending event: scheduled time plus tie-break rank.
-  struct EventStamp {
-    bool armed = false;
+  /// One captured pending event: the slot it occupies, its scheduled time
+  /// and its tie-break rank.
+  struct TimerSnap {
+    TimerKind kind = TimerKind::kSegmentEnd;
+    std::uint32_t owner = 0;  // CoreId, ThreadId, or 0 for machine timers
     sim::SimTime at = 0;
     std::uint64_t seq = 0;
   };
@@ -61,6 +65,8 @@ struct MachineSnapshot {
     double estcpu = 0.0;
     sim::SimTime sleep_started_at = -1;
     CoreId last_core = kNoCore;
+    CoreId suspended_on = kNoCore;  // injection-resume payload
+    sim::SimTime suspended_for = 0;
     sim::Rng rng{0};
     std::vector<double> behavior_state;
   };
@@ -84,19 +90,6 @@ struct MachineSnapshot {
     std::uint64_t dispatches = 0;
     std::uint64_t injections = 0;
     std::uint64_t context_switches = 0;
-    EventStamp timer;             // segment end / injected-idle-quantum end
-    EventStamp transition_timer;  // C-state entry/exit completion
-  };
-
-  /// A pending per-thread timer (timed-sleep wakeup or injection-suspension
-  /// expiry), including the payload its callback closed over.
-  struct ThreadTimerSnap {
-    std::uint8_t kind = 0;  // Machine::ThreadTimer::Kind
-    ThreadId thread = kInvalidThread;
-    CoreId where = kNoCore;      // injection-resume only
-    sim::SimTime quantum = 0;    // injection-resume only
-    sim::SimTime at = 0;
-    std::uint64_t seq = 0;
   };
 
   sim::SimTime now = 0;
@@ -119,11 +112,8 @@ struct MachineSnapshot {
   std::vector<CoreSnap> cores;
   /// Scheduler run-queue contents in dequeue order.
   std::vector<ThreadId> run_queue;
-  std::vector<ThreadTimerSnap> thread_timers;
-
-  EventStamp watchdog;
-  EventStamp schedcpu;
-  EventStamp monitor;
+  /// Every pending machine event, in slot-walk order (restore sorts by seq).
+  std::vector<TimerSnap> timers;
 };
 
 }  // namespace dimetrodon::sched

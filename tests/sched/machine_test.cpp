@@ -146,6 +146,33 @@ TEST(MachineTest, ExternalWakeUnblocksThread) {
   EXPECT_EQ(raw->completions, 2);
 }
 
+TEST(MachineTest, ExternalWakeCancelsTimedSleep) {
+  // An external wake ends a timed sleep early; the sleep's own wakeup must
+  // die with it, or it fires into whatever sleep the thread enters next.
+  Machine m(small_config());
+  class TimedThenIndefinite final : public ThreadBehavior {
+   public:
+    Burst next_burst(sim::SimTime, sim::Rng&) override { return {0.001, 1.0}; }
+    BurstOutcome on_burst_complete(sim::SimTime, sim::Rng&) override {
+      return ++completions == 1 ? BurstOutcome::SleepFor(sim::from_ms(100))
+                                : BurstOutcome::SleepUntilWoken();
+    }
+    int completions = 0;
+  };
+  auto behavior = std::make_unique<TimedThenIndefinite>();
+  auto* raw = behavior.get();
+  const ThreadId tid =
+      m.create_thread("s", ThreadClass::kUser, 0, std::move(behavior));
+  m.run_until(sim::from_ms(20));
+  ASSERT_EQ(raw->completions, 1);
+  ASSERT_EQ(m.thread(tid).state(), ThreadState::kSleeping);
+  m.wake_thread(tid);
+  m.run_until(sim::from_ms(240));
+  EXPECT_EQ(raw->completions, 2) << "stale timed-sleep wakeup fired";
+  EXPECT_EQ(m.thread(tid).state(), ThreadState::kSleeping)
+      << "stale timed-sleep wakeup fired";
+}
+
 TEST(MachineTest, DvfsSlowsExecutionProportionally) {
   Machine m(small_config());
   m.set_all_dvfs_levels(5);  // 1.596 GHz = 70.6% of nominal
