@@ -22,10 +22,12 @@
 // `--scale N` limits the run to one fleet size (CI runs the 100-node cell;
 // the 1000-node day is the local/acceptance configuration). After the sweep,
 // a parallel-advancement probe re-runs one representative cell (coolest-node
-// governed) at fleet_threads=1 vs min(8, hardware) and enforces both halves
-// of the section-11 contract: bit-identical results always, and a wall-clock
-// speedup bar (4x at 1000 nodes on >=8 cores, 2x at 100 nodes on >=4 cores;
-// recorded as skipped on smaller hosts where the bar is unmeasurable).
+// governed) at fleet_threads=1 vs min(8, hardware), three times each,
+// alternating, and enforces both halves of the section-11 contract:
+// every run bit-identical to the first serial one, and a wall-clock speedup
+// bar on the ratio of the median serial to the median pooled wall time (4x
+// at 1000 nodes on >=8 cores, 2x at 100 nodes on >=4 cores; recorded as
+// skipped on smaller hosts where the bar is unmeasurable).
 // `--no-probe` skips it — CI's byte-identity re-runs under different
 // DIMETRODON_FLEET_THREADS use that to keep the cross-run cmp cheap.
 #include <sys/resource.h>
@@ -174,11 +176,16 @@ bool identical_results(const cluster::ClusterResult& a,
   return true;
 }
 
+// Runs per side of the probe. One wall-clock sample per side is at the mercy
+// of host noise (one read 1.78x against the 2.0x bar on a 4-vCPU host that
+// passes it otherwise); the median of three alternating runs is steadier.
+constexpr int kProbeRuns = 3;
+
 struct ProbeResult {
   std::size_t nodes = 0;
   std::size_t fleet_threads = 0;
-  double serial_wall = 0.0;
-  double parallel_wall = 0.0;
+  double serial_wall = 0.0;    // median over kProbeRuns
+  double parallel_wall = 0.0;  // median over kProbeRuns
   double speedup = 0.0;
   bool bit_identical = false;
   std::string gate;  // "pass" | "fail" | "skipped (N-core host)"
@@ -204,13 +211,28 @@ ProbeResult probe_scale(const sched::MachineConfig& base, const Scale& scale) {
     return r;
   };
 
-  std::printf("  probing %zu-node cell: fleet_threads 1 vs %zu...\n", p.nodes,
-              p.fleet_threads);
-  const cluster::ClusterResult serial = run_with(1, p.serial_wall);
-  const cluster::ClusterResult pooled = run_with(p.fleet_threads,
-                                                 p.parallel_wall);
+  std::printf("  probing %zu-node cell: fleet_threads 1 vs %zu, %d runs "
+              "each...\n",
+              p.nodes, p.fleet_threads, kProbeRuns);
+  std::vector<double> serial_walls(kProbeRuns);
+  std::vector<double> pooled_walls(kProbeRuns);
+  const cluster::ClusterResult reference = run_with(1, serial_walls[0]);
+  p.bit_identical = true;
+  for (int i = 0; i < kProbeRuns; ++i) {
+    if (i > 0) {
+      p.bit_identical &=
+          identical_results(reference, run_with(1, serial_walls[i]));
+    }
+    p.bit_identical &= identical_results(
+        reference, run_with(p.fleet_threads, pooled_walls[i]));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  p.serial_wall = median(serial_walls);
+  p.parallel_wall = median(pooled_walls);
   p.speedup = p.parallel_wall > 0.0 ? p.serial_wall / p.parallel_wall : 0.0;
-  p.bit_identical = identical_results(serial, pooled);
   if (!p.bit_identical) p.failed = true;
 
   // The speedup bar only means something when the host has the cores the bar
@@ -225,7 +247,7 @@ ProbeResult probe_scale(const sched::MachineConfig& base, const Scale& scale) {
     p.gate = "fail";
     p.failed = true;
   }
-  std::printf("    serial %.2f s, %zu threads %.2f s -> %.2fx "
+  std::printf("    median serial %.2f s, %zu threads %.2f s -> %.2fx "
               "(bar %.1fx: %s, identical=%d)\n",
               p.serial_wall, p.fleet_threads, p.parallel_wall, p.speedup, bar,
               p.gate.c_str(), p.bit_identical ? 1 : 0);

@@ -33,13 +33,14 @@ namespace {
 
 void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   sim::EventQueue q;
+  const sim::TimerId id = q.add();
   sim::SimTime t = 0;
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    q.schedule(t + 100, [&sink](sim::SimTime at) {
-      sink += static_cast<std::uint64_t>(at);
-    });
-    t = q.pop_and_run();
+    q.arm(id, t + 100, 1);
+    const sim::Event e = q.pop();
+    t = e.at;
+    sink += e.tag;
   }
   benchmark::DoNotOptimize(sink);
 }
@@ -51,10 +52,10 @@ void BM_EventQueueDeepHeap(benchmark::State& state) {
     state.PauseTiming();
     sim::EventQueue q;
     for (int i = 0; i < depth; ++i) {
-      q.schedule((i * 7919) % 104729, [](sim::SimTime) {});
+      q.arm(q.add(), (i * 7919) % 104729, 0);
     }
     state.ResumeTiming();
-    while (!q.empty()) q.pop_and_run();
+    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
   }
 }
 BENCHMARK(BM_EventQueueDeepHeap)->Arg(64)->Arg(1024)->Arg(16384);
@@ -256,15 +257,16 @@ AdvanceResult measure_machine_advance(bool reference, double sim_seconds) {
 
 double measure_event_queue_ops_per_sec() {
   sim::EventQueue q;
+  const sim::TimerId id = q.add();
   sim::SimTime t = 0;
   std::uint64_t sink = 0;
   constexpr int kOps = 1'000'000;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kOps; ++i) {
-    q.schedule(t + 100, [&sink](sim::SimTime at) {
-      sink += static_cast<std::uint64_t>(at);
-    });
-    t = q.pop_and_run();
+    q.arm(id, t + 100, 1);
+    const sim::Event e = q.pop();
+    t = e.at;
+    sink += e.tag;
   }
   const auto t1 = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(sink);

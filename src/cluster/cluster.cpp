@@ -672,13 +672,15 @@ std::size_t Cluster::admin_join(const NodeSpec& spec, sim::SimTime warmup) {
     // and workload runs [0, warmup] and its snapshot restores into the
     // fresh node, which then advances [warmup, now()]. Controller and
     // governor attach AFTER the restore (injection hooks and governor
-    // timers are not snapshot-capable). Configs that cannot snapshot at
+    // callouts are not snapshot-capable). Configs that cannot snapshot at
     // all (power meter, machine trace sink, reference stepper, behaviours
-    // without save_state — WebWorkload's, today) fall back to a cold join.
+    // without save_state — WebWorkload's, today) are refused before the
+    // template runs and fall back to a cold join.
     try {
       sched::Machine tmpl(mc);
       workload::WebWorkload tmpl_web(config_.web);
       tmpl_web.deploy(tmpl);
+      tmpl.check_snapshot_support();
       tmpl.run_until(warmup);
       const sched::MachineSnapshot snap = tmpl.snapshot();
 

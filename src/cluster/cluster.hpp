@@ -301,8 +301,10 @@ class Cluster {
   /// meter, no machine trace sink, no reference stepper, snapshot-capable
   /// thread behaviours); anything else falls back to a cold join
   /// (constructed at t = 0 and advanced to now()), marked in the kNodeJoin
-  /// trace event. WebWorkload's behaviours cannot snapshot, so today every
-  /// join of a web node is cold.
+  /// trace event. The time-independent part of that check runs on the
+  /// freshly deployed template, so a config that can never snapshot skips
+  /// the warmup simulation. WebWorkload's behaviours cannot snapshot, so
+  /// today every join of a web node is cold.
   std::size_t admin_join(const NodeSpec& spec, sim::SimTime warmup = 0);
   /// Retarget the node's open-loop injection probability/quantum live. On a
   /// governed node this drives the arbiter's preventive channel (claimed

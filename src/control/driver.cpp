@@ -29,8 +29,10 @@ GovernorDriver::GovernorDriver(sched::Machine& machine,
       port_(claim_governor_channel(arbiter, spec)),
       spec_(spec),
       governor_(make_governor(spec)),
-      stability_(governor_reference_c(spec), spec.stability_band_c) {
-  schedule_sample();
+      stability_(governor_reference_c(spec), spec.stability_band_c),
+      sample_callout_(machine_.add_callout(
+          "governor sample", [this](sim::SimTime t) { sample(t); })) {
+  machine_.arm_callout(sample_callout_, machine_.now() + spec_.sample_period);
 }
 
 void GovernorDriver::retune(const GovernorSpec& spec) {
@@ -47,11 +49,6 @@ void GovernorDriver::retune(const GovernorSpec& spec) {
   // The fresh controller holds no trip latch; realign the edge detector so
   // its first trip is counted as a trip, not swallowed as "still tripped".
   was_tripped_ = false;
-}
-
-void GovernorDriver::schedule_sample() {
-  machine_.call_at(machine_.now() + spec_.sample_period,
-                   [this](sim::SimTime t) { sample(t); });
 }
 
 void GovernorDriver::sample(sim::SimTime now) {
@@ -117,7 +114,7 @@ void GovernorDriver::sample(sim::SimTime now) {
   stability_.on_sample(now, frame.max_c, duty);
   has_last_ = true;
   last_sample_at_ = now;
-  schedule_sample();
+  machine_.arm_callout(sample_callout_, machine_.now() + spec_.sample_period);
 }
 
 ControlStack make_governed_stack(sched::Machine& machine,

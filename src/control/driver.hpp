@@ -63,7 +63,6 @@ class GovernorDriver {
   StabilityMetrics stability_metrics() const { return stability_.metrics(); }
 
  private:
-  void schedule_sample();
   void sample(sim::SimTime now);
 
   sched::Machine& machine_;
@@ -71,6 +70,7 @@ class GovernorDriver {
   GovernorSpec spec_;
   std::unique_ptr<Governor> governor_;
   StabilityTracker stability_;
+  sched::Machine::CalloutId sample_callout_;
   Stats stats_;
   bool running_ = true;
   bool was_tripped_ = false;

@@ -7,13 +7,12 @@ namespace dimetrodon::core {
 AdaptiveController::AdaptiveController(sched::Machine& machine,
                                        DimetrodonController& dimetrodon,
                                        Config config)
-    : machine_(machine), dimetrodon_(dimetrodon), config_(config) {
-  schedule_tick();
-}
-
-void AdaptiveController::schedule_tick() {
-  machine_.call_at(machine_.now() + config_.sample_period,
-                   [this](sim::SimTime t) { tick(t); });
+    : machine_(machine),
+      dimetrodon_(dimetrodon),
+      config_(config),
+      tick_callout_(machine_.add_callout(
+          "adaptive tick", [this](sim::SimTime t) { tick(t); })) {
+  machine_.arm_callout(tick_callout_, machine_.now() + config_.sample_period);
 }
 
 void AdaptiveController::tick(sim::SimTime /*now*/) {
@@ -35,7 +34,7 @@ void AdaptiveController::tick(sim::SimTime /*now*/) {
                             config_.max_probability);
   dimetrodon_.sys_set_global(probability_, config_.idle_quantum);
   ++updates_;
-  schedule_tick();
+  machine_.arm_callout(tick_callout_, machine_.now() + config_.sample_period);
 }
 
 }  // namespace dimetrodon::core

@@ -36,12 +36,12 @@ class AdaptiveController {
   std::uint64_t updates() const { return updates_; }
 
  private:
-  void schedule_tick();
   void tick(sim::SimTime now);
 
   sched::Machine& machine_;
   DimetrodonController& dimetrodon_;
   Config config_;
+  sched::Machine::CalloutId tick_callout_;
   bool running_ = true;
   double probability_ = 0.0;
   double integral_ = 0.0;

@@ -7,14 +7,13 @@ namespace dimetrodon::core {
 PowerCapController::PowerCapController(sched::Machine& machine,
                                        DimetrodonController& dimetrodon,
                                        Config config)
-    : machine_(machine), dimetrodon_(dimetrodon), config_(config) {
+    : machine_(machine),
+      dimetrodon_(dimetrodon),
+      config_(config),
+      tick_callout_(machine_.add_callout(
+          "power-cap tick", [this](sim::SimTime t) { tick(t); })) {
   last_energy_j_ = machine_.energy().total_joules();
-  schedule_tick();
-}
-
-void PowerCapController::schedule_tick() {
-  machine_.call_at(machine_.now() + config_.sample_period,
-                   [this](sim::SimTime t) { tick(t); });
+  machine_.arm_callout(tick_callout_, machine_.now() + config_.sample_period);
 }
 
 void PowerCapController::tick(sim::SimTime /*now*/) {
@@ -40,7 +39,7 @@ void PowerCapController::tick(sim::SimTime /*now*/) {
     dimetrodon_.sys_set_global(probability_, config_.idle_quantum);
   }
   ++updates_;
-  schedule_tick();
+  machine_.arm_callout(tick_callout_, machine_.now() + config_.sample_period);
 }
 
 }  // namespace dimetrodon::core

@@ -45,12 +45,12 @@ class PowerCapController {
   std::uint64_t updates() const { return updates_; }
 
  private:
-  void schedule_tick();
   void tick(sim::SimTime now);
 
   sched::Machine& machine_;
   DimetrodonController& dimetrodon_;
   Config config_;
+  sched::Machine::CalloutId tick_callout_;
   Output output_;  // empty = write sys_set_global directly
   bool running_ = true;
   double probability_ = 0.0;

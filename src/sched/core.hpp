@@ -20,7 +20,7 @@ enum class CoreActivity : std::uint8_t {
 /// What a pending machine-scheduled event does when it fires. Each kind has
 /// one owner type and one slot per owner (FreeBSD's callout(9) idiom: the
 /// timer record lives in the structure it belongs to), so the machine's whole
-/// set of self-scheduled events is an inventory of (kind, owner) slots.
+/// set of pending events is an inventory of (kind, owner) slots.
 enum class TimerKind : std::uint8_t {
   // Core-owned (owner = CoreId).
   kSegmentEnd,       // Core::timer: execution segment / timeslice end
@@ -34,11 +34,17 @@ enum class TimerKind : std::uint8_t {
   kWatchdog,         // thermal watchdog advance
   kSchedcpu,         // 1 Hz scheduler recomputation
   kMonitor,          // hardware thermal monitor (PROCHOT) poll
+  kMeterSample,      // power meter sample
+  kTraceSensor,      // trace-time die-temperature sample
+  kSubstep,          // reference thermal stepper substep
+  // Callout-owned (owner = callout id, Machine::add_callout).
+  kCallout,          // a workload or controller callback
 };
 
-/// One timer slot: the pending event (if any) and what it does.
+/// One timer slot: its id in the machine's event queue and what its pending
+/// event (if any) does.
 struct Timer {
-  sim::EventHandle handle;
+  sim::TimerId id = 0;
   TimerKind kind = TimerKind::kSegmentEnd;
 };
 

@@ -15,6 +15,21 @@ namespace {
 // from segment accounting (event times are integer nanoseconds), not real
 // work; treating it as pending would schedule zero-length segments.
 constexpr double kWorkEpsilon = 2e-9;
+
+// An event's queue tag packs its timer slot: the kind in the low 8 bits, the
+// owner in the high 24.
+constexpr std::uint32_t kMaxTimerOwner = (1u << 24) - 1;
+std::uint32_t timer_tag(TimerKind kind, std::uint32_t owner) {
+  return owner << 8 | static_cast<std::uint32_t>(kind);
+}
+
+// Kinds snapshot() may capture. The rest need state outside the machine (a
+// callback) or a feature the snapshot preconditions exclude, so restore()
+// refuses them.
+bool capturable(TimerKind kind) {
+  return kind != TimerKind::kCallout && kind != TimerKind::kMeterSample &&
+         kind != TimerKind::kTraceSensor && kind != TimerKind::kSubstep;
+}
 }  // namespace
 
 Machine::Machine(MachineConfig config)
@@ -22,6 +37,10 @@ Machine::Machine(MachineConfig config)
       master_rng_(config_.seed),
       power_model_(config_.power),
       energy_(config_.num_cores) {
+  for (Timer* t : {&watchdog_timer_, &schedcpu_timer_, &monitor_timer_,
+                   &meter_timer_, &trace_timer_, &substep_timer_}) {
+    *t = new_timer(0);
+  }
   config_.floorplan.num_cores = config_.num_cores;
   nodes_ = thermal::build_server_floorplan(network_, config_.floorplan);
   sensors_.reserve(config_.num_cores);
@@ -42,6 +61,8 @@ Machine::Machine(MachineConfig config)
     c.op.voltage_v = nominal.voltage_v;
     c.op.freq_ghz = nominal.freq_ghz;
     c.op.clock_duty = 1.0;
+    c.timer = new_timer(c.id);
+    c.transition_timer = new_timer(c.id);
     cores_.push_back(c);
   }
   window_node_joules_.assign(network_.node_count(), 0.0);
@@ -49,7 +70,7 @@ Machine::Machine(MachineConfig config)
   if (config_.trace_sink_factory) {
     if (auto sink = config_.trace_sink_factory()) {
       tracer_.attach(std::move(sink));
-      schedule_trace_sensor();
+      arm(TimerKind::kTraceSensor, 0, sim_.now() + config_.trace_sensor_period);
     }
   }
 
@@ -73,11 +94,11 @@ Machine::Machine(MachineConfig config)
   }
   if (config_.enable_meter) {
     meter_.emplace(config_.meter, master_rng_.fork());
-    schedule_meter_sample();
+    arm(TimerKind::kMeterSample, 0, sim_.now() + meter_->sample_interval());
   }
   tm_active_.assign(config_.num_cores, false);
   if (config_.thermal_reference_stepper) {
-    schedule_substep();
+    arm(TimerKind::kSubstep, 0, sim_.now() + config_.thermal_substep);
   } else {
     arm(TimerKind::kWatchdog, 0, sim_.now() + config_.thermal_watchdog);
   }
@@ -102,21 +123,42 @@ Timer& Machine::timer_slot(TimerKind kind, std::uint32_t owner) {
     case TimerKind::kWatchdog: return watchdog_timer_;
     case TimerKind::kSchedcpu: return schedcpu_timer_;
     case TimerKind::kMonitor: return monitor_timer_;
+    case TimerKind::kMeterSample: return meter_timer_;
+    case TimerKind::kTraceSensor: return trace_timer_;
+    case TimerKind::kSubstep: return substep_timer_;
+    case TimerKind::kCallout: return callouts_.at(owner).timer;
   }
   throw std::invalid_argument("unknown timer kind");
 }
 
-void Machine::arm(TimerKind kind, std::uint32_t owner, sim::SimTime at) {
-  Timer& slot = timer_slot(kind, owner);
-  slot.handle.cancel();
-  slot.kind = kind;
-  // 16 bytes of capture: fits std::function's local buffer, no allocation.
-  slot.handle =
-      sim_.at(at, [this, kind, owner](sim::SimTime) { fire(kind, owner); });
+Timer Machine::new_timer(std::uint32_t owner) {
+  if (owner > kMaxTimerOwner) {
+    throw std::length_error("machine: more than 2^24 timer owners of a kind");
+  }
+  return Timer{sim_.queue().add()};
 }
 
-void Machine::fire(TimerKind kind, std::uint32_t owner) {
-  const sim::SimTime now = sim_.now();
+void Machine::arm(TimerKind kind, std::uint32_t owner, sim::SimTime at) {
+  assert(at >= sim_.now());
+  Timer& slot = timer_slot(kind, owner);
+  slot.kind = kind;
+  sim_.queue().arm(slot.id, at, timer_tag(kind, owner));
+}
+
+Machine::CalloutId Machine::add_callout(std::string name, CalloutFn fn) {
+  const auto id = static_cast<CalloutId>(callouts_.size());
+  callouts_.push_back({new_timer(id), std::move(name), std::move(fn)});
+  return id;
+}
+
+void Machine::arm_callout(CalloutId id, sim::SimTime when) {
+  arm(TimerKind::kCallout, id, std::max(when, sim_.now()));
+}
+
+void Machine::fire(const sim::Event& e) {
+  const auto kind = static_cast<TimerKind>(e.tag & 0xffu);
+  const std::uint32_t owner = e.tag >> 8;
+  const sim::SimTime now = e.at;
   switch (kind) {
     case TimerKind::kSegmentEnd: return on_segment_end(cores_[owner]);
     case TimerKind::kInjectedIdleEnd: return end_injected_idle(cores_[owner]);
@@ -133,6 +175,20 @@ void Machine::fire(TimerKind kind, std::uint32_t owner) {
     case TimerKind::kMonitor:
       thermal_monitor_tick();
       return arm(kind, 0, now + config_.thermal_monitor_period);
+    case TimerKind::kMeterSample: {
+      advance_thermal(now);
+      const double watts = current_total_power();
+      meter_->sample(now, watts);
+      tracer_.meter_sample(now, watts);
+      return arm(kind, 0, now + meter_->sample_interval());
+    }
+    case TimerKind::kTraceSensor:
+      sample_trace_sensors(now);
+      return arm(kind, 0, now + config_.trace_sensor_period);
+    case TimerKind::kSubstep:
+      advance_thermal(now);
+      return arm(kind, 0, now + config_.thermal_substep);
+    case TimerKind::kCallout: return callouts_[owner].fn(now);
   }
 }
 
@@ -275,41 +331,21 @@ void Machine::advance_thermal(sim::SimTime to) {
   sync_thermal_counters();
 }
 
-void Machine::schedule_substep() {
-  sim_.after(config_.thermal_substep, [this](sim::SimTime t) {
-    advance_thermal(t);
-    schedule_substep();
-  });
-}
-
-void Machine::schedule_meter_sample() {
-  sim_.after(meter_->sample_interval(), [this](sim::SimTime t) {
-    advance_thermal(t);
-    const double watts = current_total_power();
-    meter_->sample(t, watts);
-    tracer_.meter_sample(t, watts);
-    schedule_meter_sample();
-  });
-}
-
-void Machine::schedule_trace_sensor() {
+void Machine::sample_trace_sensors(sim::SimTime now) {
   // Pure observation: reads the current network state without advancing the
   // thermal integrator, so chunk boundaries — and therefore every simulated
   // result — are bit-identical with and without tracing.
-  sim_.after(config_.trace_sensor_period, [this](sim::SimTime t) {
-    for (std::size_t phys = 0; phys < config_.num_cores; ++phys) {
-      tracer_.sensor_sample(t, static_cast<std::uint32_t>(phys),
-                            network_.temperature(nodes_.die[phys]));
-    }
-    const thermal::RcNetwork::Stats& s = network_.stats();
-    tracer_.thermal_stat(t, obs::ThermalStatKind::kSubsteps, s.substeps);
-    tracer_.thermal_stat(t, obs::ThermalStatKind::kFastForwardSteps,
-                         s.fast_forward_steps);
-    tracer_.thermal_stat(t, obs::ThermalStatKind::kFactorizations,
-                         s.factorizations);
-    tracer_.thermal_stat(t, obs::ThermalStatKind::kMatvecs, s.matvecs);
-    schedule_trace_sensor();
-  });
+  for (std::size_t phys = 0; phys < config_.num_cores; ++phys) {
+    tracer_.sensor_sample(now, static_cast<std::uint32_t>(phys),
+                          network_.temperature(nodes_.die[phys]));
+  }
+  const thermal::RcNetwork::Stats& s = network_.stats();
+  tracer_.thermal_stat(now, obs::ThermalStatKind::kSubsteps, s.substeps);
+  tracer_.thermal_stat(now, obs::ThermalStatKind::kFastForwardSteps,
+                       s.fast_forward_steps);
+  tracer_.thermal_stat(now, obs::ThermalStatKind::kFactorizations,
+                       s.factorizations);
+  tracer_.thermal_stat(now, obs::ThermalStatKind::kMatvecs, s.matvecs);
 }
 
 double Machine::current_total_power() {
@@ -351,6 +387,7 @@ ThreadId Machine::create_thread(std::string name, ThreadClass cls, int nice,
                                 std::unique_ptr<ThreadBehavior> behavior,
                                 CoreId affinity) {
   const auto id = static_cast<ThreadId>(threads_.size());
+  const Timer timer = new_timer(id);
   auto t = std::make_unique<Thread>(id, std::move(name), cls, nice,
                                     std::move(behavior), master_rng_.fork());
   t->set_created_at(sim_.now());
@@ -358,7 +395,7 @@ ThreadId Machine::create_thread(std::string name, ThreadClass cls, int nice,
   t->set_state(ThreadState::kSleeping);  // make_runnable flips it
   Thread& ref = *t;
   threads_.push_back(std::move(t));
-  thread_timers_.emplace_back();
+  thread_timers_.push_back({timer});
   ++live_threads_;
   make_runnable(ref);
   return id;
@@ -372,7 +409,7 @@ void Machine::wake_thread(ThreadId id) {
   if (t.injection_suspended()) return;
   // An early wake ends a timed sleep: stop its wakeup (FreeBSD's wakeup()
   // stops the sleep callout) so it cannot fire into a later sleep.
-  thread_timers_[id].timer.handle.cancel();
+  sim_.queue().disarm(thread_timers_[id].timer.id);
   make_runnable(t);
 }
 
@@ -499,7 +536,7 @@ void Machine::resume_from_injection(ThreadId victim) {
 
 void Machine::stop_current(Core& core, sim::SimTime now) {
   advance_thermal(now);
-  core.timer.handle.cancel();
+  sim_.queue().disarm(core.timer.id);
   Thread& t = *core.current;
   const double rate = execution_rate(core);
   const double elapsed =
@@ -736,7 +773,7 @@ void Machine::enter_idle(Core& core, bool injected, sim::SimTime quantum,
   if (injected) {
     arm(TimerKind::kInjectedIdleEnd, core.id, sim_.now() + quantum);
   } else {
-    core.timer.handle.cancel();
+    sim_.queue().disarm(core.timer.id);
   }
 }
 
@@ -753,7 +790,7 @@ void Machine::finish_idle_entry(Core& core) {
 void Machine::end_injected_idle(Core& core) {
   assert(core.injected_idle);
   advance_thermal(sim_.now());
-  core.timer.handle.cancel();
+  sim_.queue().disarm(core.timer.id);
   Thread* victim = core.injection_victim;
   if (victim != nullptr) {
     victim->set_injection_pin(kNoCore);
@@ -919,7 +956,7 @@ void Machine::set_all_clock_duty_steps(std::size_t step) {
 }
 
 void Machine::run_until(sim::SimTime deadline) {
-  sim_.run_until(deadline);
+  sim_.run_until(deadline, [this](const sim::Event& e) { fire(e); });
   advance_thermal(deadline);
   // Fold in-flight execution into the work counters so observers (throughput
   // windows, tests) see progress up to `deadline`, not up to the last
@@ -934,20 +971,16 @@ bool Machine::run_until_condition(const std::function<bool()>& pred,
       run_until(deadline);
       return pred();
     }
-    sim_.step();
+    sim_.step([this](const sim::Event& e) { fire(e); });
   }
   return true;
-}
-
-void Machine::call_at(sim::SimTime when, std::function<void(sim::SimTime)> fn) {
-  sim_.at(std::max(when, sim_.now()), std::move(fn));
 }
 
 // --------------------------------------------------------------------------
 // Snapshot / warm-start
 // --------------------------------------------------------------------------
 
-void Machine::check_snapshot_preconditions() const {
+void Machine::check_snapshot_support() const {
   if (meter_.has_value()) {
     throw std::runtime_error(
         "machine snapshot: power meter attached (its sampling event and "
@@ -969,12 +1002,53 @@ void Machine::check_snapshot_preconditions() const {
         "cannot be captured; snapshot before attach_hook, restore, then "
         "attach)");
   }
+  std::vector<double> state;
+  for (const auto& t : threads_) {
+    state.clear();
+    if (!t->behavior().save_state(state)) {
+      throw std::runtime_error("machine snapshot: thread '" + t->name() +
+                               "' has a behavior without snapshot support");
+    }
+  }
 }
 
 MachineSnapshot Machine::snapshot() {
-  check_snapshot_preconditions();
-
   MachineSnapshot s;
+  const sim::EventQueue& q = sim_.queue();
+  const auto capture = [&](const Timer& t, std::uint32_t owner) {
+    if (!q.armed(t.id)) return;
+    if (t.kind == TimerKind::kCallout) {
+      throw std::runtime_error(
+          "machine snapshot: callout '" + callouts_[owner].name + "' (#" +
+          std::to_string(owner) + ") armed (its callback cannot be captured)");
+    }
+    s.timers.push_back({t.kind, owner, q.time(t.id), q.seq(t.id)});
+  };
+  for (const Core& c : cores_) {
+    capture(c.timer, c.id);
+    capture(c.transition_timer, c.id);
+  }
+  for (std::size_t i = 0; i < thread_timers_.size(); ++i) {
+    capture(thread_timers_[i].timer, static_cast<std::uint32_t>(i));
+  }
+  for (std::size_t i = 0; i < callouts_.size(); ++i) {
+    capture(callouts_[i].timer, static_cast<std::uint32_t>(i));
+  }
+  capture(watchdog_timer_, 0);
+  capture(schedcpu_timer_, 0);
+  capture(monitor_timer_, 0);
+
+  // Meter, trace-sensor and substep timers are not captured: their features
+  // fail this check.
+  check_snapshot_support();
+  // Safety check: every queue timer belongs to one inventory slot, so a
+  // count mismatch means a timer restore could not re-arm.
+  if (s.timers.size() != q.size()) {
+    throw std::runtime_error(
+        "machine snapshot: " + std::to_string(q.size()) +
+        " pending events but " + std::to_string(s.timers.size()) +
+        " in the machine's timer inventory");
+  }
 
   // Scheduler queue in dequeue order (throws for schedulers without
   // snapshot support, e.g. ULE's per-thread interactivity histories).
@@ -1006,10 +1080,7 @@ MachineSnapshot Machine::snapshot() {
     ts.suspended_on = thread_timers_[t.id()].suspended_on;
     ts.suspended_for = thread_timers_[t.id()].suspended_for;
     ts.rng = t.rng();
-    if (!t.behavior().save_state(ts.behavior_state)) {
-      throw std::runtime_error("machine snapshot: thread '" + t.name() +
-                               "' has a behavior without snapshot support");
-    }
+    t.behavior().save_state(ts.behavior_state);
     s.threads.push_back(std::move(ts));
   }
 
@@ -1039,32 +1110,6 @@ MachineSnapshot Machine::snapshot() {
     s.cores.push_back(cs);
   }
 
-  const auto capture = [&s](const Timer& t, std::uint32_t owner) {
-    if (t.handle.active()) {
-      s.timers.push_back({t.kind, owner, t.handle.time(), t.handle.seq()});
-    }
-  };
-  for (const Core& c : cores_) {
-    capture(c.timer, c.id);
-    capture(c.transition_timer, c.id);
-  }
-  for (std::size_t i = 0; i < thread_timers_.size(); ++i) {
-    capture(thread_timers_[i].timer, static_cast<std::uint32_t>(i));
-  }
-  capture(watchdog_timer_, 0);
-  capture(schedcpu_timer_, 0);
-  capture(monitor_timer_, 0);
-
-  // Reconcile the timer inventory against the queue's live count. Anything
-  // we cannot account for (a workload call_at timer, a harness callback)
-  // would be silently dropped by restore, so refuse.
-  if (s.timers.size() != sim_.queue().size()) {
-    throw std::runtime_error(
-        "machine snapshot: " + std::to_string(sim_.queue().size()) +
-        " pending events but only " + std::to_string(s.timers.size()) +
-        " tracked by the machine (external call_at timers pending?)");
-  }
-
   s.now = sim_.now();
   s.events_executed = sim_.events_executed();
   s.master_rng = master_rng_;
@@ -1081,7 +1126,7 @@ MachineSnapshot Machine::snapshot() {
 }
 
 void Machine::restore(const MachineSnapshot& s) {
-  check_snapshot_preconditions();
+  check_snapshot_support();
   if (threads_.size() != s.threads.size()) {
     throw std::invalid_argument(
         "machine restore: thread count mismatch (deploy the identical "
@@ -1179,7 +1224,12 @@ void Machine::restore(const MachineSnapshot& s) {
   std::vector<MachineSnapshot::TimerSnap> timers = s.timers;
   std::sort(timers.begin(), timers.end(),
             [](const auto& a, const auto& b) { return a.seq < b.seq; });
-  for (const auto& t : timers) arm(t.kind, t.owner, t.at);
+  for (const auto& t : timers) {
+    if (!capturable(t.kind)) {
+      throw std::invalid_argument("machine restore: uncapturable timer kind");
+    }
+    arm(t.kind, t.owner, t.at);
+  }
 }
 
 }  // namespace dimetrodon::sched

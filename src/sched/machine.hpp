@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -202,9 +203,18 @@ class Machine {
   bool run_until_condition(const std::function<bool()>& pred,
                            sim::SimTime deadline);
 
-  /// Schedule an arbitrary callback (workload drivers use this for request
-  /// arrivals etc.).
-  void call_at(sim::SimTime when, std::function<void(sim::SimTime)> fn);
+  /// Persistent callouts (FreeBSD's callout_init/callout_reset): a workload
+  /// or controller registers its callback once and re-arms it by id. A
+  /// callout has at most one pending event; re-arming an armed callout moves
+  /// it. Callbacks receive the firing time.
+  using CalloutFn = std::function<void(sim::SimTime)>;
+  using CalloutId = std::uint32_t;
+  /// Register a disarmed callout; `name` (with the id) labels it in snapshot
+  /// refusals. Ids are consecutive from 0.
+  CalloutId add_callout(std::string name, CalloutFn fn);
+  /// Arm callout `id` at `when`, clamped to now(). Throws std::out_of_range
+  /// for an id add_callout did not return.
+  void arm_callout(CalloutId id, sim::SimTime when);
 
   // --- observation ----------------------------------------------------------
   const Core& core(CoreId id) const { return cores_.at(id); }
@@ -267,12 +277,18 @@ class Machine {
   /// Capture the machine's complete dynamic state (see MachineSnapshot for
   /// the fork ≡ replay contract). Throws std::runtime_error when the machine
   /// is not snapshot-capable: a power meter or trace sink attached, the
-  /// reference thermal stepper active, an injection hook installed, a
-  /// scheduler or thread behavior without snapshot support, or pending
-  /// events the machine does not track (e.g. workload call_at timers) — the
-  /// reconciliation against the event queue turns any such gap into a loud
-  /// failure instead of a silently diverging fork.
+  /// reference thermal stepper active, an injection hook installed, an armed
+  /// callout (named in the message), a scheduler or thread behavior without
+  /// snapshot support, or a timer inventory that disagrees with the event
+  /// queue's count — a loud failure instead of a silently diverging fork.
   MachineSnapshot snapshot();
+
+  /// Throw std::runtime_error, as snapshot() would, if this machine can
+  /// never snapshot whatever its time: a power meter, trace sink, reference
+  /// stepper or injection hook attached, or a thread behavior without
+  /// snapshot support. Cheap: run it before simulating a machine only to
+  /// snapshot it.
+  void check_snapshot_support() const;
 
   /// Restore a snapshot into this machine. Requires: freshly constructed
   /// with the identical MachineConfig, the identical workload deployed (so
@@ -315,10 +331,7 @@ class Machine {
   void integrate_chunk(double dt_seconds);
   void apply_powers(double span_seconds);
   void sync_thermal_counters();
-  void schedule_substep();
-  void schedule_meter_sample();
-  void schedule_trace_sensor();
-  void check_snapshot_preconditions() const;
+  void sample_trace_sensors(sim::SimTime now);
   void thermal_monitor_tick();
   void apply_effective_duty(Core& c);
   double core_power_now(const Core& c) const;
@@ -346,18 +359,24 @@ class Machine {
 
   sim::SimTime last_thermal_update_ = 0;
 
-  // Timer inventory. Every event the machine schedules for itself occupies
-  // one (TimerKind, owner) slot: two per core (Core::timer,
-  // Core::transition_timer), one per thread and one per machine-wide periodic
-  // event. arm() is the only way in and fire() the only way out, so the slots
-  // are exactly what snapshot() captures and reconciles against the queue.
+  // Timer inventory. Every pending event occupies one (TimerKind, owner)
+  // slot: two per core (Core::timer, Core::transition_timer), one per thread,
+  // one per callout and one per machine-wide periodic event. Each slot owns
+  // one queue timer id for life; an event's queue tag packs its (kind,
+  // owner), so popping it needs no lookup. arm() is the only way in and
+  // fire() the only way out, so the slots are exactly what snapshot()
+  // captures and reconciles against the queue.
+  Timer new_timer(std::uint32_t owner);
   void arm(TimerKind kind, std::uint32_t owner, sim::SimTime at);
-  void fire(TimerKind kind, std::uint32_t owner);
+  void fire(const sim::Event& e);
   Timer& timer_slot(TimerKind kind, std::uint32_t owner);
 
   Timer watchdog_timer_;
   Timer schedcpu_timer_;
   Timer monitor_timer_;
+  Timer meter_timer_;
+  Timer trace_timer_;
+  Timer substep_timer_;
   // A thread has at most one pending timer: a timed-sleep wakeup or the end
   // of an injection suspension (with the payload the latter reports).
   struct ThreadTimer {
@@ -366,6 +385,13 @@ class Machine {
     sim::SimTime suspended_for = 0;
   };
   std::vector<ThreadTimer> thread_timers_;  // indexed by ThreadId
+  struct Callout {
+    Timer timer;
+    std::string name;
+    CalloutFn fn;
+  };
+  // A deque: a running callout may register another without moving itself.
+  std::deque<Callout> callouts_;  // indexed by CalloutId
 
   // Power-window accumulators for steady-state jumps (joules per node).
   std::vector<double> window_node_joules_;

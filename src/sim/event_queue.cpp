@@ -1,121 +1,88 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
-#include <utility>
 
 namespace dimetrodon::sim {
 
-namespace detail {
-
-namespace {
-bool earlier(const HeapKey& a, const HeapKey& b) {
+bool EventQueue::earlier(const Key& a, const Key& b) {
   return a.at != b.at ? a.at < b.at : a.seq < b.seq;
 }
-}  // namespace
 
-void EventArena::place(std::uint32_t pos, const HeapKey& k) {
-  heap[pos] = k;
-  slots[k.slot].pos = pos;
+TimerId EventQueue::add() {
+  pos_.push_back(kDisarmed);
+  return static_cast<TimerId>(pos_.size() - 1);
 }
 
-void EventArena::sift_up(std::uint32_t pos, HeapKey k) {
+void EventQueue::place(std::uint32_t pos, const Key& k) {
+  heap_[pos] = k;
+  pos_[k.id] = pos;
+}
+
+void EventQueue::sift_up(std::uint32_t pos, Key k) {
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 2;
-    if (!earlier(k, heap[parent])) break;
-    place(pos, heap[parent]);
+    if (!earlier(k, heap_[parent])) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
   place(pos, k);
 }
 
-void EventArena::sift_down(std::uint32_t pos, HeapKey k) {
-  const std::size_t n = heap.size();
+void EventQueue::sift_down(std::uint32_t pos, Key k) {
+  const std::size_t n = heap_.size();
   for (std::size_t child; (child = 2 * std::size_t{pos} + 1) < n;) {
-    if (child + 1 < n && earlier(heap[child + 1], heap[child])) ++child;
-    if (!earlier(heap[child], k)) break;
-    place(pos, heap[child]);
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], k)) break;
+    place(pos, heap_[child]);
     pos = static_cast<std::uint32_t>(child);
   }
   place(pos, k);
 }
 
-std::uint32_t EventArena::insert(SimTime at, std::uint64_t seq,
-                                 std::function<void(SimTime)>&& fn) {
-  std::uint32_t slot;
-  if (free_head != kNoSlot) {
-    slot = free_head;
-    free_head = slots[slot].next_free;
+void EventQueue::settle(std::uint32_t pos, const Key& k) {
+  if (pos > 0 && earlier(k, heap_[(pos - 1) / 2])) {
+    sift_up(pos, k);
   } else {
-    slot = static_cast<std::uint32_t>(slots.size());
-    slots.emplace_back();
+    sift_down(pos, k);
   }
-  slots[slot].fn = std::move(fn);
-  heap.emplace_back();
-  sift_up(static_cast<std::uint32_t>(heap.size() - 1), HeapKey{at, seq, slot});
-  return slot;
 }
 
-std::function<void(SimTime)> EventArena::remove(std::uint32_t pos) {
-  const std::uint32_t slot = heap[pos].slot;
-  const HeapKey last = heap.back();
-  heap.pop_back();
-  if (pos < heap.size()) {
-    // The last key fills the hole; it may belong above or below it.
-    if (pos > 0 && earlier(last, heap[(pos - 1) / 2])) {
-      sift_up(pos, last);
-    } else {
-      sift_down(pos, last);
-    }
+void EventQueue::arm(TimerId id, SimTime at, std::uint32_t tag) {
+  assert(at >= 0 && id < pos_.size());
+  const Key k{at, next_seq_++, id, tag};
+  if (armed(id)) {
+    settle(pos_[id], k);
+  } else {
+    heap_.emplace_back();
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1), k);
   }
-  ControlSlot& s = slots[slot];
-  ++s.gen;  // every outstanding (slot, gen) capture goes inert
-  s.pos = kNoSlot;
-  s.next_free = free_head;
-  free_head = slot;
-  return std::move(s.fn);
 }
 
-}  // namespace detail
+void EventQueue::remove(std::uint32_t pos) {
+  pos_[heap_[pos].id] = kDisarmed;
+  const Key last = heap_.back();
+  heap_.pop_back();
+  // The last key fills the hole; it may belong above or below it.
+  if (pos < heap_.size()) settle(pos, last);
+}
 
-bool EventHandle::cancel() {
-  if (!active()) return false;
-  // Dropped only after the arena is consistent again.
-  const auto fn = arena_->remove(arena_->slots[slot_].pos);
-  arena_.reset();
+bool EventQueue::disarm(TimerId id) {
+  if (!armed(id)) return false;
+  remove(pos_[id]);
   return true;
 }
 
-bool EventHandle::active() const {
-  return arena_ && arena_->pending(slot_, gen_);
-}
-
-SimTime EventHandle::time() const {
-  return active() ? arena_->key(slot_).at : kTimeInfinity;
-}
-
-std::uint64_t EventHandle::seq() const {
-  return active() ? arena_->key(slot_).seq : 0;
-}
-
-EventHandle EventQueue::schedule(SimTime at, Callback fn) {
-  assert(at >= 0);
-  const std::uint32_t slot = arena_->insert(at, next_seq_++, std::move(fn));
-  return EventHandle(arena_, slot, arena_->slots[slot].gen);
-}
-
-SimTime EventQueue::pop_and_run() {
+Event EventQueue::pop() {
   assert(!empty());
-  const SimTime at = arena_->heap.front().at;
-  // Moved out before running: the callback may schedule or cancel events,
-  // and its own handles already read inactive.
-  const Callback fn = arena_->remove(0);
-  fn(at);
-  return at;
+  const Key& head = heap_.front();
+  const Event e{head.at, head.id, head.tag};
+  remove(0);
+  return e;
 }
 
 void EventQueue::clear() {
-  // Removing the last key never sifts.
-  while (!arena_->heap.empty()) arena_->remove(arena_->heap.size() - 1);
+  for (const Key& k : heap_) pos_[k.id] = kDisarmed;
+  heap_.clear();
 }
 
 }  // namespace dimetrodon::sim

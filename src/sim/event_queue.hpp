@@ -1,145 +1,101 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace dimetrodon::sim {
 
-namespace detail {
+/// Identifies one timer of an EventQueue. Owners allocate their ids once
+/// (add()) and re-arm the same id for every event that timer ever carries.
+using TimerId = std::uint32_t;
 
-inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-/// One arena slot. A slot holds one pending event's callback and is reused by
-/// many events over its lifetime; `gen` disambiguates: a handle captures
-/// (slot, gen) at schedule time and is inert once the generation moves on
-/// (the event fired, was cancelled or was cleared). `pos` is the index of the
-/// event's key in the heap while it is pending.
-struct ControlSlot {
-  std::function<void(SimTime)> fn;
-  std::uint64_t gen = 0;
-  std::uint32_t pos = kNoSlot;
-  std::uint32_t next_free = kNoSlot;
-};
-
-/// Heap key of one pending event: ordered by (at, seq), a strict total order.
-struct HeapKey {
+/// One fired event: its time, its timer and the tag it was armed with.
+struct Event {
   SimTime at;
-  std::uint64_t seq;
-  std::uint32_t slot;
+  TimerId id;
+  std::uint32_t tag;
 };
 
-/// Storage shared by an EventQueue and its handles, held by shared_ptr so
-/// handles may outlive the queue. `heap` is a binary min-heap holding exactly
-/// the pending events; each key's slot records its heap index, so removing
-/// any event (the head when it fires, any entry when it is cancelled) is
-/// O(log n). Freed slots go on an intrusive free list, so steady-state timer
-/// churn allocates nothing.
-struct EventArena {
-  std::vector<ControlSlot> slots;
-  std::vector<HeapKey> heap;
-  std::uint32_t free_head = kNoSlot;
-
-  bool pending(std::uint32_t slot, std::uint64_t gen) const {
-    return slots[slot].gen == gen;
-  }
-  const HeapKey& key(std::uint32_t slot) const { return heap[slots[slot].pos]; }
-
-  /// Take a slot for `fn` and insert its key; returns the slot.
-  std::uint32_t insert(SimTime at, std::uint64_t seq,
-                       std::function<void(SimTime)>&& fn);
-  /// Remove the key at heap index `pos`, free its slot (bumping gen) and
-  /// return the callback, which the caller runs or drops.
-  std::function<void(SimTime)> remove(std::uint32_t pos);
-
- private:
-  void place(std::uint32_t pos, const HeapKey& k);
-  void sift_up(std::uint32_t pos, HeapKey k);
-  void sift_down(std::uint32_t pos, HeapKey k);
-};
-
-}  // namespace detail
-
-/// Handle to a scheduled event. cancel() removes the event from its queue at
-/// once (O(log n)); handles are cheap to copy and may outlive the queue.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancel the event. Safe to call multiple times or on a default-constructed
-  /// (empty) handle; returns true if the event was pending and is now removed.
-  bool cancel();
-
-  /// True if this handle refers to an event that has neither fired nor been
-  /// cancelled.
-  bool active() const;
-
-  /// Scheduled time of a pending event; kTimeInfinity if not active().
-  SimTime time() const;
-
-  /// Tie-break rank of a pending event: among events at equal time, lower seq
-  /// fires first. 0 if not active(). The machine snapshot layer sorts by this
-  /// when re-arming so restored ties fire in the captured order.
-  std::uint64_t seq() const;
-
- private:
-  friend class EventQueue;
-  EventHandle(std::shared_ptr<detail::EventArena> arena, std::uint32_t slot,
-              std::uint64_t gen)
-      : arena_(std::move(arena)), slot_(slot), gen_(gen) {}
-
-  std::shared_ptr<detail::EventArena> arena_;
-  std::uint32_t slot_ = detail::kNoSlot;
-  std::uint64_t gen_ = 0;
-};
-
-/// Min-heap of timestamped callbacks. Ties break by insertion order (seq), so
-/// (at, seq) totally orders events and delivery is fully deterministic. The
-/// heap holds exactly the pending events: a cancelled event leaves nothing
-/// behind.
+/// Indexed binary min-heap of timers. Each armed timer holds exactly one heap
+/// key (at, seq, id, tag); keys are ordered by (at, seq), a strict total
+/// order, because every arm() takes a fresh seq. Delivery is therefore fully
+/// deterministic and independent of the heap's layout. Disarming a timer or
+/// re-arming an armed one updates its key in place (O(log n)), so the heap
+/// holds exactly the pending events. The queue stores no callbacks: the tag
+/// is an opaque word the owner decodes when the event pops.
 class EventQueue {
  public:
-  using Callback = std::function<void(SimTime)>;
+  /// Allocate a disarmed timer.
+  TimerId add();
 
-  EventQueue() : arena_(std::make_shared<detail::EventArena>()) {}
-  ~EventQueue() { clear(); }
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
+  /// Arm timer `id` to fire at `at` (>= 0) with payload `tag`, moving it if
+  /// it is already armed. Always takes a fresh seq: the timer fires after
+  /// every event already armed for the same time.
+  void arm(TimerId id, SimTime at, std::uint32_t tag);
 
-  /// Schedule `fn` at absolute time `at`. Requires at >= 0.
-  EventHandle schedule(SimTime at, Callback fn);
+  /// Disarm timer `id`; returns whether it was armed. Takes no seq.
+  bool disarm(TimerId id);
 
-  /// True if no events are pending.
-  bool empty() const { return arena_->heap.empty(); }
+  bool armed(TimerId id) const { return pos_[id] != kDisarmed; }
+  /// Scheduled time of an armed timer; kTimeInfinity if disarmed.
+  SimTime time(TimerId id) const {
+    return armed(id) ? heap_[pos_[id]].at : kTimeInfinity;
+  }
+  /// Tie-break rank of an armed timer: among events at equal time, lower seq
+  /// fires first. 0 if disarmed. The machine snapshot layer sorts by this
+  /// when re-arming so restored ties fire in the captured order.
+  std::uint64_t seq(TimerId id) const {
+    return armed(id) ? heap_[pos_[id]].seq : 0;
+  }
+
+  /// True if no timer is armed.
+  bool empty() const { return heap_.empty(); }
 
   /// Timestamp of the earliest pending event; kTimeInfinity when empty.
   SimTime next_time() const {
-    return empty() ? kTimeInfinity : arena_->heap.front().at;
+    return empty() ? kTimeInfinity : heap_.front().at;
   }
 
-  /// Pop and run the earliest pending event, returning its timestamp.
-  /// Requires !empty().
-  SimTime pop_and_run();
+  /// Remove and return the earliest pending event; its timer is disarmed
+  /// (and free to be re-armed) by the time the caller sees it. Requires
+  /// !empty().
+  Event pop();
 
-  /// Number of pending (non-cancelled, unfired) events.
-  std::size_t size() const { return arena_->heap.size(); }
+  /// Number of armed timers.
+  std::size_t size() const { return heap_.size(); }
 
-  /// Heap entries held. Cancellation removes its entry, so this always
-  /// equals size(); kept for memory-bound diagnostics.
-  std::size_t heap_entries() const { return arena_->heap.size(); }
+  /// Heap entries held. Disarming removes its entry, so this always equals
+  /// size(); kept for memory-bound diagnostics.
+  std::size_t heap_entries() const { return heap_.size(); }
 
-  /// Drop every pending event (their handles go inert, as if cancelled).
-  /// Used by snapshot restore, which re-arms the captured event set from
-  /// scratch; seq numbering keeps counting up, so relative tie order of
-  /// anything scheduled afterwards is unaffected.
+  /// Disarm every timer. Used by snapshot restore, which re-arms the captured
+  /// event set from scratch; seq numbering keeps counting up, so relative tie
+  /// order of anything armed afterwards is unaffected.
   void clear();
 
  private:
+  static constexpr std::uint32_t kDisarmed = 0xffffffffu;
+
+  struct Key {
+    SimTime at;
+    std::uint64_t seq;
+    TimerId id;
+    std::uint32_t tag;
+  };
+
+  static bool earlier(const Key& a, const Key& b);  // by (at, seq)
+  void place(std::uint32_t pos, const Key& k);
+  // Put `k` into the hole at `pos`: up if it beats its parent, else down.
+  void settle(std::uint32_t pos, const Key& k);
+  void sift_up(std::uint32_t pos, Key k);
+  void sift_down(std::uint32_t pos, Key k);
+  void remove(std::uint32_t pos);
+
+  std::vector<Key> heap_;
+  std::vector<std::uint32_t> pos_;  // by TimerId: heap index or kDisarmed
   std::uint64_t next_seq_ = 0;
-  std::shared_ptr<detail::EventArena> arena_;
 };
 
 }  // namespace dimetrodon::sim

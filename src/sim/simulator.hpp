@@ -7,33 +7,38 @@
 
 namespace dimetrodon::sim {
 
-/// Discrete-event simulation driver: a clock plus an event queue. All
-/// machine-level components (scheduler timers, injection quanta, meter
-/// sampling, workload arrivals) register callbacks here.
+/// Discrete-event simulation clock: a time, an event queue of timers and the
+/// count of events executed. The owner of the timers (sched::Machine) drives
+/// it, handing each popped event to its own dispatcher.
 class Simulator {
  public:
   SimTime now() const { return now_; }
 
-  /// Schedule `fn` at absolute simulation time `at` (must be >= now()).
-  EventHandle at(SimTime when, EventQueue::Callback fn);
+  /// Pop events in (at, seq) order while the next is due by `deadline`,
+  /// moving the clock to each event's time BEFORE `fire(event)` runs, so
+  /// now() is correct inside it (dispatchers routinely arm relative
+  /// follow-ups). Events at exactly `deadline` run. The clock is left at
+  /// max(now(), deadline): it never runs backwards.
+  template <class Fire>
+  void run_until(SimTime deadline, Fire&& fire) {
+    while (!queue_.empty() && queue_.next_time() <= deadline) fire(pop());
+    if (now_ < deadline) now_ = deadline;
+  }
 
-  /// Schedule `fn` after a relative delay (must be >= 0).
-  EventHandle after(SimTime delay, EventQueue::Callback fn);
-
-  /// Run events until the queue empties or the clock would pass `deadline`.
-  /// The clock is left at min(deadline, time of last event). Events scheduled
-  /// exactly at `deadline` are executed.
-  void run_until(SimTime deadline);
-
-  /// Run a single event if one exists; returns false when the queue is empty.
-  bool step();
+  /// Run a single event if one is pending; returns false when none is.
+  template <class Fire>
+  bool step(Fire&& fire) {
+    if (queue_.empty()) return false;
+    fire(pop());
+    return true;
+  }
 
   /// Total events executed (diagnostics).
   std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Snapshot-restore support: drop every pending event (handles go inert)
-  /// and pin the clock and executed-event count to captured values. The
-  /// caller (sched::Machine::restore) re-arms the captured event set next.
+  /// Snapshot-restore support: disarm every timer and pin the clock and
+  /// executed-event count to captured values. The caller
+  /// (sched::Machine::restore) re-arms the captured event set next.
   void reset_for_restore(SimTime now, std::uint64_t events_executed) {
     queue_.clear();
     now_ = now;
@@ -43,6 +48,13 @@ class Simulator {
   EventQueue& queue() { return queue_; }
 
  private:
+  Event pop() {
+    const Event e = queue_.pop();
+    now_ = e.at;
+    ++events_executed_;
+    return e;
+  }
+
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t events_executed_ = 0;

@@ -93,18 +93,23 @@ void WebWorkload::deploy(sched::Machine& machine) {
     worker_tids_.push_back(tid);
     threads_.push_back(tid);
   }
-  // Stagger the initial think times so connections don't arrive in a burst.
+  // One think timer per connection: a connection thinks or has exactly one
+  // request in flight. Callout ids are consecutive, so connection c's is
+  // first_think_ + c. Stagger the initial think times so connections don't
+  // arrive in a burst.
   for (std::size_t c = 0; c < config_.connections; ++c) {
-    schedule_think(static_cast<std::uint32_t>(c));
+    const auto conn = static_cast<std::uint32_t>(c);
+    const auto id = machine.add_callout(
+        "web think", [this, conn](sim::SimTime) { issue_request(conn); });
+    if (c == 0) first_think_ = id;
+    schedule_think(conn);
   }
 }
 
 void WebWorkload::schedule_think(std::uint32_t connection) {
   const double think = client_rng_->exponential(config_.think_mean_s);
-  machine_->call_at(machine_->now() + sim::from_sec(think),
-                    [this, connection](sim::SimTime) {
-                      issue_request(connection);
-                    });
+  machine_->arm_callout(first_think_ + connection,
+                        machine_->now() + sim::from_sec(think));
 }
 
 void WebWorkload::issue_request(std::uint32_t connection) {

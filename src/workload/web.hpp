@@ -140,6 +140,7 @@ class WebWorkload final : public Workload {
 
   sched::ThreadId kernel_tid_ = sched::kInvalidThread;
   std::vector<sched::ThreadId> worker_tids_;
+  sched::Machine::CalloutId first_think_ = 0;  // connection 0's callout
 
   std::unique_ptr<sim::Rng> client_rng_;
   CompletionCallback on_external_complete_;

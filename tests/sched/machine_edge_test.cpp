@@ -3,6 +3,9 @@
 // stability.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/controller.hpp"
 #include "sched/machine.hpp"
 #include "workload/cpuburn.hpp"
@@ -182,13 +185,46 @@ TEST(MachineEdgeTest, C1IdleStateConfigurable) {
   EXPECT_GT(m.die_temperature(0), me.die_temperature(0) + 0.5);
 }
 
-TEST(MachineEdgeTest, CallAtInPastClampsToNow) {
+TEST(MachineEdgeTest, CalloutInPastClampsToNow) {
   Machine m(cores_config(1));
   m.run_for(sim::from_ms(10));
-  bool ran = false;
-  m.call_at(0, [&](sim::SimTime) { ran = true; });
+  sim::SimTime ran_at = -1;
+  const auto id = m.add_callout("probe", [&](sim::SimTime t) { ran_at = t; });
+  m.arm_callout(id, 0);
   m.run_for(sim::from_ms(1));
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran_at, sim::from_ms(10));
+}
+
+TEST(MachineEdgeTest, ArmCalloutOutOfRangeThrows) {
+  Machine m(cores_config(1));
+  EXPECT_THROW(m.arm_callout(0, sim::from_ms(1)), std::out_of_range);
+  const auto id = m.add_callout("probe", [](sim::SimTime) {});
+  EXPECT_NO_THROW(m.arm_callout(id, sim::from_ms(1)));
+  EXPECT_THROW(m.arm_callout(id + 1, sim::from_ms(1)), std::out_of_range);
+}
+
+TEST(MachineEdgeTest, RearmingArmedCalloutMovesIt) {
+  Machine m(cores_config(1));
+  std::vector<sim::SimTime> fired;
+  const auto id =
+      m.add_callout("probe", [&](sim::SimTime t) { fired.push_back(t); });
+  const std::size_t base = m.simulator().queue().size();
+  m.arm_callout(id, sim::from_ms(5));
+  m.arm_callout(id, sim::from_ms(3));
+  EXPECT_EQ(m.simulator().queue().size(), base + 1);
+  m.run_for(sim::from_ms(10));
+  EXPECT_EQ(fired, (std::vector<sim::SimTime>{sim::from_ms(3)}));
+  // A callback may re-arm its own callout (a periodic controller does).
+  Machine::CalloutId again = 0;
+  again = m.add_callout("periodic", [&](sim::SimTime t) {
+    fired.push_back(t);
+    if (fired.size() < 4) m.arm_callout(again, t + sim::from_ms(1));
+  });
+  m.arm_callout(again, m.now() + sim::from_ms(1));
+  m.run_for(sim::from_ms(10));
+  EXPECT_EQ(fired, (std::vector<sim::SimTime>{sim::from_ms(3), sim::from_ms(11),
+                                              sim::from_ms(12),
+                                              sim::from_ms(13)}));
 }
 
 TEST(MachineEdgeTest, CreateThreadMidRunJoinsScheduling) {

@@ -11,9 +11,11 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "workload/cpuburn.hpp"
+#include "workload/web.hpp"
 
 namespace dimetrodon::sched {
 namespace {
@@ -291,16 +293,60 @@ TEST(MachineSnapshotTest, UleSchedulerRefusesSnapshot) {
   EXPECT_THROW((void)m.snapshot(), std::runtime_error);
 }
 
-TEST(MachineSnapshotTest, UntrackedCallAtEventRefusesSnapshot) {
-  // Workload driver timers scheduled via call_at are not in the machine's
-  // event inventory; snapshotting with one pending must throw rather than
-  // silently dropping it from the fork.
+// The message snapshot() refuses with, or "" when it succeeds.
+std::string snapshot_refusal(Machine& m) {
+  try {
+    (void)m.snapshot();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MachineSnapshotTest, ArmedCalloutRefusesSnapshot) {
+  // A callout's callback lives outside the machine, so a fork could not
+  // re-arm it: snapshotting with one pending must throw, naming it, rather
+  // than silently dropping it from the fork. Once it has fired, nothing
+  // stands in the way.
   Machine m(snap_config());
   workload::CpuBurnFleet fleet(2);
   fleet.deploy(m);
-  m.call_at(sim::from_sec(60), [](sim::SimTime) {});
+  const auto late = m.add_callout("late probe", [](sim::SimTime) {});
+  m.arm_callout(late, sim::from_sec(60));
   m.run_for(sim::from_sec(1));
-  EXPECT_THROW((void)m.snapshot(), std::runtime_error);
+  EXPECT_NO_THROW(m.check_snapshot_support());
+  EXPECT_NE(snapshot_refusal(m).find("callout 'late probe'"),
+            std::string::npos)
+      << snapshot_refusal(m);
+
+  Machine fired(snap_config());
+  workload::CpuBurnFleet same(2);
+  same.deploy(fired);
+  const auto early = fired.add_callout("early probe", [](sim::SimTime) {});
+  fired.arm_callout(early, sim::from_ms(500));
+  fired.run_for(sim::from_sec(1));
+  EXPECT_EQ(snapshot_refusal(fired), "");
+}
+
+TEST(MachineSnapshotTest, WebThinkCalloutRefusesSnapshot) {
+  // Closed-loop connections think on callouts: a seeded web run with think
+  // timers armed is refused with a think callout named.
+  MachineConfig cfg = snap_config();
+  cfg.seed = 7919;
+  Machine m(cfg);
+  workload::WebWorkload web(workload::WebWorkload::Config{.connections = 16});
+  web.deploy(m);
+  m.run_for(sim::from_sec(1));
+  EXPECT_NE(snapshot_refusal(m).find("callout 'web think' (#"),
+            std::string::npos)
+      << snapshot_refusal(m);
+  // Its behaviours cannot snapshot at any time, which the time-independent
+  // check reports before anything runs.
+  Machine fresh(cfg);
+  workload::WebWorkload fresh_web(
+      workload::WebWorkload::Config{.connections = 16});
+  fresh_web.deploy(fresh);
+  EXPECT_THROW(fresh.check_snapshot_support(), std::runtime_error);
 }
 
 TEST(MachineSnapshotTest, RestoreRejectsMismatchedThreadCount) {

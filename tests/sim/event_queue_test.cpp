@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <set>
 #include <tuple>
@@ -11,6 +12,13 @@
 
 namespace dimetrodon::sim {
 namespace {
+
+// Pops every pending event and returns the tags in delivery order.
+std::vector<std::uint32_t> drain_tags(EventQueue& q) {
+  std::vector<std::uint32_t> tags;
+  while (!q.empty()) tags.push_back(q.pop().tag);
+  return tags;
+}
 
 TEST(EventQueueTest, StartsEmpty) {
   EventQueue q;
@@ -21,144 +29,193 @@ TEST(EventQueueTest, StartsEmpty) {
 
 TEST(EventQueueTest, DeliversInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(30, [&](SimTime) { order.push_back(3); });
-  q.schedule(10, [&](SimTime) { order.push_back(1); });
-  q.schedule(20, [&](SimTime) { order.push_back(2); });
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  q.arm(q.add(), 30, 3);
+  q.arm(q.add(), 10, 1);
+  q.arm(q.add(), 20, 2);
+  EXPECT_EQ(drain_tags(q), (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i](SimTime) { order.push_back(i); });
-  }
-  while (!q.empty()) q.pop_and_run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  for (std::uint32_t i = 0; i < 10; ++i) q.arm(q.add(), 5, i);
+  const std::vector<std::uint32_t> order = drain_tags(q);
+  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(EventQueueTest, EqualTimeRearmTakesFreshSeq) {
+  // Re-arming an armed timer for the time it already holds still moves it
+  // behind everything armed for that time since: every arm() is a fresh
+  // (at, seq) key, exactly as if the timer had been disarmed and re-armed.
+  EventQueue q;
+  const TimerId a = q.add();
+  const TimerId b = q.add();
+  q.arm(a, 10, 1);
+  q.arm(b, 10, 2);
+  const std::uint64_t b_seq = q.seq(b);
+  q.arm(a, 10, 1);
+  EXPECT_GT(q.seq(a), b_seq);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().id, b);
+  EXPECT_EQ(q.pop().id, a);
+}
+
+TEST(EventQueueTest, RearmMovesArmedTimer) {
+  EventQueue q;
+  const TimerId a = q.add();
+  const TimerId b = q.add();
+  q.arm(a, 50, 7);
+  q.arm(b, 20, 8);
+  q.arm(a, 10, 9);  // earlier: sifts up past b
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.time(a), 10);
+  const Event first = q.pop();
+  EXPECT_EQ(first.id, a);
+  EXPECT_EQ(first.tag, 9u);  // the tag of the latest arm
+  q.arm(b, 40, 8);           // later: sifts down (alone here, trivially)
+  q.arm(a, 30, 9);
+  EXPECT_EQ(drain_tags(q), (std::vector<std::uint32_t>{9, 8}));
 }
 
 TEST(EventQueueTest, PopReturnsTimestamp) {
   EventQueue q;
-  q.schedule(77, [](SimTime t) { EXPECT_EQ(t, 77); });
-  EXPECT_EQ(q.pop_and_run(), 77);
+  const TimerId id = q.add();
+  q.arm(id, 77, 42);
+  const Event e = q.pop();
+  EXPECT_EQ(e.at, 77);
+  EXPECT_EQ(e.id, id);
+  EXPECT_EQ(e.tag, 42u);
 }
 
 TEST(EventQueueTest, CancelPreventsExecution) {
   EventQueue q;
-  bool ran = false;
-  EventHandle h = q.schedule(5, [&](SimTime) { ran = true; });
-  EXPECT_TRUE(h.active());
-  EXPECT_TRUE(h.cancel());
-  EXPECT_FALSE(h.active());
+  const TimerId id = q.add();
+  q.arm(id, 5, 0);
+  EXPECT_TRUE(q.armed(id));
+  EXPECT_TRUE(q.disarm(id));
+  EXPECT_FALSE(q.armed(id));
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
 }
 
 TEST(EventQueueTest, CancelIsIdempotent) {
   EventQueue q;
-  EventHandle h = q.schedule(5, [](SimTime) {});
-  EXPECT_TRUE(h.cancel());
-  EXPECT_FALSE(h.cancel());
+  const TimerId id = q.add();
+  q.arm(id, 5, 0);
+  EXPECT_TRUE(q.disarm(id));
+  EXPECT_FALSE(q.disarm(id));
 }
 
 TEST(EventQueueTest, DefaultHandleIsInactive) {
-  EventHandle h;
-  EXPECT_FALSE(h.active());
-  EXPECT_FALSE(h.cancel());
+  // A freshly added timer is disarmed until its first arm().
+  EventQueue q;
+  const TimerId id = q.add();
+  EXPECT_FALSE(q.armed(id));
+  EXPECT_FALSE(q.disarm(id));
+  EXPECT_EQ(q.time(id), kTimeInfinity);
+  EXPECT_EQ(q.seq(id), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, SizeTracksCancellation) {
   EventQueue q;
-  EventHandle a = q.schedule(1, [](SimTime) {});
-  EventHandle b = q.schedule(2, [](SimTime) {});
+  const TimerId a = q.add();
+  const TimerId b = q.add();
+  q.arm(a, 1, 0);
+  q.arm(b, 2, 0);
   EXPECT_EQ(q.size(), 2u);
-  a.cancel();
+  q.disarm(a);
   EXPECT_EQ(q.size(), 1u);
-  q.pop_and_run();
+  q.pop();
   EXPECT_EQ(q.size(), 0u);
-  (void)b;
 }
 
 TEST(EventQueueTest, HandleInactiveAfterFiring) {
   EventQueue q;
-  EventHandle h = q.schedule(1, [](SimTime) {});
-  q.pop_and_run();
-  EXPECT_FALSE(h.active());
-  EXPECT_FALSE(h.cancel());
+  const TimerId id = q.add();
+  q.arm(id, 1, 0);
+  q.pop();
+  EXPECT_FALSE(q.armed(id));
+  EXPECT_FALSE(q.disarm(id));
 }
 
 TEST(EventQueueTest, CancelledHeadSkipped) {
   EventQueue q;
-  bool first = false;
-  bool second = false;
-  EventHandle h = q.schedule(1, [&](SimTime) { first = true; });
-  q.schedule(2, [&](SimTime) { second = true; });
-  h.cancel();
+  const TimerId first = q.add();
+  const TimerId second = q.add();
+  q.arm(first, 1, 0);
+  q.arm(second, 2, 0);
+  q.disarm(first);
   EXPECT_EQ(q.next_time(), 2);
-  q.pop_and_run();
-  EXPECT_FALSE(first);
-  EXPECT_TRUE(second);
+  EXPECT_EQ(q.pop().id, second);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, CallbackMaySchedule) {
+  // The popped timer is already disarmed, so its dispatcher may re-arm it
+  // (a periodic timer) and arm others.
   EventQueue q;
+  const TimerId tick = q.add();
+  const TimerId other = q.add();
+  q.arm(tick, 1, 0);
   int fired = 0;
-  q.schedule(1, [&](SimTime) {
+  while (!q.empty()) {
+    const Event e = q.pop();
     ++fired;
-    q.schedule(2, [&](SimTime) { ++fired; });
-  });
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(fired, 2);
+    if (e.id == tick && e.at < 3) {
+      q.arm(tick, e.at + 1, 0);
+      q.arm(other, e.at + 5, 0);  // moved, not duplicated
+    }
+  }
+  EXPECT_EQ(fired, 4);  // tick at 1, 2, 3 and other once, at 7
 }
 
 TEST(EventQueueTest, CancelHeavyChurnHoldsBoundedMemory) {
-  // Timer churn: one long-lived event plus thousands of schedule/cancel
-  // cycles. Cancellation removes the entry, so the heap never holds more
-  // than the pending events, whatever the cancellation history.
+  // Timer churn: one long-lived event plus thousands of arm/disarm cycles.
+  // Disarming removes the entry, so the heap never holds more than the
+  // pending events, whatever the disarm history.
   EventQueue q;
-  bool fired = false;
-  q.schedule(1'000'000, [&](SimTime) { fired = true; });
+  const TimerId keep = q.add();
+  const TimerId churn = q.add();
+  q.arm(keep, 1'000'000, 0);
   std::size_t peak = 0;
   for (int i = 0; i < 20000; ++i) {
-    EventHandle h = q.schedule(500'000 + i, [](SimTime) {});
+    q.arm(churn, 500'000 + i, 0);
     peak = std::max(peak, q.heap_entries());
-    h.cancel();
+    q.disarm(churn);
     ASSERT_EQ(q.heap_entries(), q.size());
   }
   EXPECT_EQ(peak, 2u);
   EXPECT_EQ(q.size(), 1u);
-  q.pop_and_run();
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(q.pop().id, keep);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.heap_entries(), 0u);
 }
 
 TEST(EventQueueTest, CompactionPreservesDeliveryOrder) {
-  // Live events scheduled in shuffled time order, two cancellations per live
+  // Live events armed in shuffled time order, two disarmed ones per live
   // one (a tie and a later neighbour); delivery must still be the exact
-  // (time, insertion) order, and no cancelled entry may linger in the heap.
+  // (time, insertion) order, and no disarmed entry may linger in the heap.
   EventQueue q;
-  std::vector<int> order;
-  std::vector<EventHandle> doomed;
-  for (int i = 0; i < 500; ++i) {
+  for (std::uint32_t i = 0; i < 500; ++i) {
     const SimTime t = (i * 7919) % 1009;
-    q.schedule(t, [&order, i](SimTime) { order.push_back(i); });
-    doomed.push_back(q.schedule(t, [](SimTime) { ADD_FAILURE(); }));
-    doomed.push_back(q.schedule(t + 1, [](SimTime) { ADD_FAILURE(); }));
-    doomed[doomed.size() - 2].cancel();
-    doomed.back().cancel();
+    q.arm(q.add(), t, i);
+    const TimerId tie = q.add();
+    const TimerId later = q.add();
+    q.arm(tie, t, 9999);
+    q.arm(later, t + 1, 9999);
+    q.disarm(tie);
+    q.disarm(later);
     ASSERT_EQ(q.heap_entries(), q.size());
   }
   EXPECT_EQ(q.size(), 500u);
-  std::vector<int> expected(500);
-  for (int i = 0; i < 500; ++i) expected[i] = i;
-  std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
-    return (a * 7919) % 1009 < (b * 7919) % 1009;
-  });
+  std::vector<std::uint32_t> expected(500);
+  for (std::uint32_t i = 0; i < 500; ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](std::uint32_t a, std::uint32_t b) {
+                     return (a * 7919) % 1009 < (b * 7919) % 1009;
+                   });
+  std::vector<std::uint32_t> order;
   while (!q.empty()) {
-    q.pop_and_run();
+    order.push_back(q.pop().tag);
     ASSERT_EQ(q.heap_entries(), q.size());
   }
   EXPECT_EQ(order, expected);
@@ -166,201 +223,222 @@ TEST(EventQueueTest, CompactionPreservesDeliveryOrder) {
 
 TEST(EventQueueTest, SizeAndHandlesSurviveCompaction) {
   EventQueue q;
-  std::vector<EventHandle> live;
+  std::vector<TimerId> live;
   for (int i = 0; i < 40; ++i) {
-    live.push_back(q.schedule(10 + i, [](SimTime) {}));
+    live.push_back(q.add());
+    q.arm(live.back(), 10 + i, 0);
   }
-  // A cancel storm of head-time events leaves nothing behind.
+  // A disarm storm of head-time events leaves nothing behind.
+  const TimerId storm = q.add();
   for (int i = 0; i < 60; ++i) {
-    q.schedule(5, [](SimTime) { ADD_FAILURE(); }).cancel();
+    q.arm(storm, 5, 0);
+    q.disarm(storm);
   }
-  q.schedule(1000, [](SimTime) {});
+  q.arm(q.add(), 1000, 0);
   EXPECT_EQ(q.size(), 41u);
   EXPECT_EQ(q.heap_entries(), q.size());
-  for (const EventHandle& h : live) EXPECT_TRUE(h.active());
+  for (const TimerId id : live) EXPECT_TRUE(q.armed(id));
   EXPECT_EQ(q.next_time(), 10);
 }
 
 TEST(EventQueueTest, TimeAndSeqAccessorsTrackLiveEvents) {
   EventQueue q;
-  EventHandle a = q.schedule(10, [](SimTime) {});
-  EventHandle b = q.schedule(10, [](SimTime) {});
-  EXPECT_EQ(a.time(), 10);
-  EXPECT_EQ(b.time(), 10);
-  // Same timestamp: the earlier schedule() wins the tie, and seq() exposes
-  // that rank so the snapshot layer can re-arm in the captured order.
-  EXPECT_LT(a.seq(), b.seq());
-  a.cancel();
-  EXPECT_EQ(a.time(), kTimeInfinity);
-  EXPECT_EQ(a.seq(), 0u);
-  q.pop_and_run();
-  EXPECT_EQ(b.time(), kTimeInfinity);
+  const TimerId a = q.add();
+  const TimerId b = q.add();
+  q.arm(a, 10, 0);
+  q.arm(b, 10, 0);
+  EXPECT_EQ(q.time(a), 10);
+  EXPECT_EQ(q.time(b), 10);
+  // Same timestamp: the earlier arm() wins the tie, and seq() exposes that
+  // rank so the snapshot layer can re-arm in the captured order.
+  EXPECT_LT(q.seq(a), q.seq(b));
+  q.disarm(a);
+  EXPECT_EQ(q.time(a), kTimeInfinity);
+  EXPECT_EQ(q.seq(a), 0u);
+  q.pop();
+  EXPECT_EQ(q.time(b), kTimeInfinity);
 }
 
 TEST(EventQueueTest, ClearMakesAllHandlesInert) {
   EventQueue q;
-  std::vector<EventHandle> handles;
-  int fired = 0;
+  std::vector<TimerId> ids;
   for (int i = 0; i < 16; ++i) {
-    handles.push_back(q.schedule(i, [&fired](SimTime) { ++fired; }));
+    ids.push_back(q.add());
+    q.arm(ids.back(), i, 0);
   }
+  const std::uint64_t last_seq = q.seq(ids.back());
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  for (auto& h : handles) {
-    EXPECT_FALSE(h.active());
-    EXPECT_FALSE(h.cancel());  // inert, exactly like an already-fired event
+  for (const TimerId id : ids) {
+    EXPECT_FALSE(q.armed(id));
+    EXPECT_FALSE(q.disarm(id));  // inert, exactly like an already-fired event
   }
-  // The queue is fully usable afterwards, and seq keeps counting up.
-  EventHandle next = q.schedule(5, [&fired](SimTime) { ++fired; });
-  EXPECT_TRUE(next.active());
-  q.pop_and_run();
-  EXPECT_EQ(fired, 1);
+  // The timers are fully usable afterwards, and seq keeps counting up.
+  q.arm(ids[3], 5, 0);
+  EXPECT_GT(q.seq(ids[3]), last_seq);
+  EXPECT_EQ(q.pop().id, ids[3]);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, RecycledSlotDoesNotResurrectOldHandle) {
-  // The control arena recycles slots; a stale handle whose slot was reused
-  // must stay inert (generation mismatch) rather than aliasing the new
-  // event. Cancel-heavy churn guarantees slot reuse within a few rounds.
+  // Timer ids are never recycled: a disarmed timer stays disarmed while
+  // other timers churn, and no later event is ever delivered under its id.
   EventQueue q;
-  EventHandle stale = q.schedule(1, [](SimTime) { FAIL() << "cancelled"; });
-  stale.cancel();
-  int fired = 0;
-  std::vector<EventHandle> fresh;
+  const TimerId stale = q.add();
+  q.arm(stale, 1, 0);
+  q.disarm(stale);
+  std::vector<TimerId> fresh;
   for (int i = 0; i < 8; ++i) {
-    fresh.push_back(q.schedule(2 + i, [&fired](SimTime) { ++fired; }));
+    fresh.push_back(q.add());
+    EXPECT_NE(fresh.back(), stale);
+    q.arm(fresh.back(), 2 + i, 0);
   }
-  // The stale handle must not observe or affect the recycled slot's event.
-  EXPECT_FALSE(stale.active());
-  EXPECT_FALSE(stale.cancel());
+  EXPECT_FALSE(q.armed(stale));
+  EXPECT_FALSE(q.disarm(stale));
   EXPECT_EQ(q.size(), 8u);
-  while (!q.empty()) q.pop_and_run();
+  int fired = 0;
+  while (!q.empty()) {
+    EXPECT_NE(q.pop().id, stale);
+    ++fired;
+  }
   EXPECT_EQ(fired, 8);
-  // And fired handles on recycled slots are inert too.
-  for (auto& h : fresh) EXPECT_FALSE(h.active());
+  for (const TimerId id : fresh) EXPECT_FALSE(q.armed(id));
 }
 
 TEST(EventQueueTest, ManyEventsStressOrdering) {
   EventQueue q;
+  // Deterministic pseudo-shuffled arm times.
+  for (int i = 0; i < 5000; ++i) q.arm(q.add(), (i * 7919) % 104729, 0);
   SimTime last = -1;
-  // Deterministic pseudo-shuffled insertion times.
-  for (int i = 0; i < 5000; ++i) {
-    const SimTime t = (i * 7919) % 104729;
-    q.schedule(t, [&last](SimTime at) {
-      EXPECT_GE(at, last);
-      last = at;
-    });
-  }
   std::size_t count = 0;
   while (!q.empty()) {
-    q.pop_and_run();
+    const SimTime at = q.pop().at;
+    EXPECT_GE(at, last);
+    last = at;
     ++count;
   }
   EXPECT_EQ(count, 5000u);
 }
 
 TEST(EventQueueTest, CancelInteriorMovesLastKeyUp) {
-  // Scheduled in this order each time lands below its parent, so the heap
-  // array is exactly [0, 100, 1, 101, 102, 50, 2]. Cancelling 101 (index 3,
-  // parent 100) moves the last key, 2, into its place, where it must rise
-  // above 100; left below it, 50 would fire before 2.
+  // Armed in this order each time lands below its parent, so the heap array
+  // is exactly [0, 100, 1, 101, 102, 50, 2]. Disarming 101 (index 3, parent
+  // 100) moves the last key, 2, into its place, where it must rise above
+  // 100; left below it, 50 would fire before 2.
   const std::vector<SimTime> times{0, 100, 1, 101, 102, 50, 2};
   EventQueue q;
-  std::vector<SimTime> order;
-  std::vector<EventHandle> h;
+  std::vector<TimerId> ids;
   for (SimTime t : times) {
-    h.push_back(q.schedule(t, [&order](SimTime at) { order.push_back(at); }));
+    ids.push_back(q.add());
+    q.arm(ids.back(), t, 0);
   }
-  EXPECT_TRUE(h[3].cancel());
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    EXPECT_EQ(h[i].active(), i != 3);
-    EXPECT_EQ(h[i].time(), i != 3 ? times[i] : kTimeInfinity);
+  EXPECT_TRUE(q.disarm(ids[3]));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(q.armed(ids[i]), i != 3);
+    EXPECT_EQ(q.time(ids[i]), i != 3 ? times[i] : kTimeInfinity);
   }
-  while (!q.empty()) q.pop_and_run();
+  std::vector<SimTime> order;
+  while (!q.empty()) order.push_back(q.pop().at);
   EXPECT_EQ(order, (std::vector<SimTime>{0, 1, 2, 50, 100, 102}));
 }
 
-// Drives an EventQueue with a seeded random mix of operations and mirrors
-// every one in a std::set of (at, seq, id), the obviously correct model.
+// Drives an EventQueue with a seeded random mix of operations — arming fresh
+// and existing timers, re-arming armed ones in place, disarming (often
+// already-disarmed ones), popping and clearing — and mirrors every one in a
+// std::set of (at, seq, id), the obviously correct model.
 class QueueOracle {
  public:
   explicit QueueOracle(std::uint64_t seed) : rng_(seed) {}
 
+  // Stops at the first divergence: past it the model no longer describes
+  // the queue.
   void run(int ops) {
-    for (int i = 0; i < ops; ++i) {
-      step(/*in_callback=*/false);
+    for (int i = 0; i < ops && !testing::Test::HasFailure(); ++i) {
+      step(/*after_pop=*/false);
       check_counts();
-      if (i % 64 == 0) check_handles();
+      if (i % 64 == 0) check_timers();
     }
-    while (!q_.empty()) pop();
+    while (!q_.empty() && !testing::Test::HasFailure()) pop();
     check_counts();
-    check_handles();
+    check_timers();
   }
 
  private:
-  using Key = std::tuple<SimTime, std::uint64_t, int>;
+  using Key = std::tuple<SimTime, std::uint64_t, TimerId>;
 
-  void step(bool in_callback) {
+  void step(bool after_pop) {
     const unsigned r = static_cast<unsigned>(rng_() % 100);
-    if (r < 45) {
-      schedule();
+    if (r < 20) {
+      arm(add());
+    } else if (r < 35) {
+      arm(pick_any());  // armed: an in-place move; disarmed: an insert
+    } else if (r < 45) {
+      if (!model_.empty()) arm(std::get<2>(*model_.begin()));  // the head
     } else if (r < 55) {
-      cancel(pick_any());  // often stale: fired, cancelled or cleared
+      disarm(pick_any());  // often stale: fired, disarmed or cleared
     } else if (r < 62) {
-      if (!model_.empty()) cancel(std::get<2>(*model_.begin()));
+      if (!model_.empty()) disarm(std::get<2>(*model_.begin()));
     } else if (r < 67) {
-      if (!model_.empty()) cancel(std::get<2>(*model_.rbegin()));
-    } else if (r < 72) {
-      if (!handles_.empty()) cancel(static_cast<int>(handles_.size()) - 1);
+      if (!model_.empty()) disarm(std::get<2>(*model_.rbegin()));
     } else if (r < 99) {
-      if (!in_callback && !q_.empty()) pop();
-    } else if (!in_callback && rng_() % 8 == 0) {
+      if (!after_pop && !q_.empty()) pop();
+    } else if (!after_pop && rng_() % 8 == 0) {
       q_.clear();
       model_.clear();
+      for (auto& k : keys_) k.reset();
     }
   }
 
-  void schedule() {
-    // A narrow time range makes ties common; seq must break them.
-    const SimTime at = static_cast<SimTime>(rng_() % 48);
-    const int id = static_cast<int>(handles_.size());
-    handles_.push_back(q_.schedule(at, [this, id](SimTime t) { fired(id, t); }));
-    keys_.push_back(Key{at, next_seq_++, id});
-    model_.insert(keys_.back());
+  TimerId add() {
+    const TimerId id = q_.add();
+    EXPECT_EQ(id, keys_.size());
+    keys_.emplace_back();
+    tags_.push_back(0);
+    return id;
   }
 
-  void cancel(int id) {
-    if (id < 0) return;
-    const bool pending = model_.erase(keys_[id]) == 1;
-    EXPECT_EQ(handles_[id].cancel(), pending) << "id " << id;
-    EXPECT_FALSE(handles_[id].active());
+  TimerId pick_any() {
+    if (keys_.empty()) return add();
+    return static_cast<TimerId>(rng_() % keys_.size());
+  }
+
+  void arm(TimerId id) {
+    // A narrow time range makes ties common; seq must break them.
+    const SimTime at = static_cast<SimTime>(rng_() % 48);
+    const auto tag = static_cast<std::uint32_t>(rng_());
+    if (keys_[id]) model_.erase(*keys_[id]);
+    q_.arm(id, at, tag);
+    keys_[id] = Key{at, next_seq_++, id};
+    tags_[id] = tag;
+    model_.insert(*keys_[id]);
+  }
+
+  void disarm(TimerId id) {
+    const bool pending = keys_[id].has_value();
+    if (pending) model_.erase(*keys_[id]);
+    keys_[id].reset();
+    EXPECT_EQ(q_.disarm(id), pending) << "id " << id;
+    EXPECT_FALSE(q_.armed(id));
   }
 
   void pop() {
     const Key head = *model_.begin();
+    const TimerId id = std::get<2>(head);
     model_.erase(model_.begin());
-    expected_ = std::get<2>(head);
-    EXPECT_EQ(q_.pop_and_run(), std::get<0>(head));
-    EXPECT_EQ(expected_, -1) << "event " << std::get<2>(head) << " never ran";
-  }
-
-  void fired(int id, SimTime t) {
-    EXPECT_EQ(id, expected_);
-    EXPECT_EQ(t, std::get<0>(keys_[id]));
-    expected_ = -1;
-    EXPECT_FALSE(handles_[id].active());
+    keys_[id].reset();
+    const Event e = q_.pop();
+    EXPECT_EQ(e.id, id);
+    EXPECT_EQ(e.at, std::get<0>(head));
+    EXPECT_EQ(e.tag, tags_[id]);
+    EXPECT_FALSE(q_.armed(id));
     check_counts();
-    // Callbacks schedule and cancel too, including cancels of their own
-    // (already fired) handle.
+    // Dispatchers arm and disarm too, including their own (just popped)
+    // timer.
     const int nested = static_cast<int>(rng_() % 3);
-    for (int i = 0; i < nested; ++i) step(/*in_callback=*/true);
-    if (rng_() % 8 == 0) cancel(id);
-    check_counts();
-  }
-
-  int pick_any() {
-    if (handles_.empty()) return -1;
-    return static_cast<int>(rng_() % handles_.size());
+    for (int i = 0; i < nested; ++i) step(/*after_pop=*/true);
+    if (rng_() % 4 == 0) arm(id);
+    if (rng_() % 8 == 0) disarm(id);
   }
 
   void check_counts() {
@@ -371,23 +449,21 @@ class QueueOracle {
               model_.empty() ? kTimeInfinity : std::get<0>(*model_.begin()));
   }
 
-  void check_handles() {
-    for (std::size_t id = 0; id < handles_.size(); ++id) {
-      const EventHandle& h = handles_[id];
-      const bool pending = model_.count(keys_[id]) == 1;
-      ASSERT_EQ(h.active(), pending) << "id " << id;
-      EXPECT_EQ(h.time(), pending ? std::get<0>(keys_[id]) : kTimeInfinity);
-      EXPECT_EQ(h.seq(), pending ? std::get<1>(keys_[id]) : 0u);
+  void check_timers() {
+    for (TimerId id = 0; id < keys_.size(); ++id) {
+      const std::optional<Key>& k = keys_[id];
+      ASSERT_EQ(q_.armed(id), k.has_value()) << "id " << id;
+      EXPECT_EQ(q_.time(id), k ? std::get<0>(*k) : kTimeInfinity);
+      EXPECT_EQ(q_.seq(id), k ? std::get<1>(*k) : 0u);
     }
   }
 
   std::mt19937_64 rng_;
   EventQueue q_;
-  std::vector<EventHandle> handles_;
-  std::vector<Key> keys_;  // by id
-  std::set<Key> model_;    // pending events
+  std::vector<std::optional<Key>> keys_;  // by id: the pending key, if armed
+  std::vector<std::uint32_t> tags_;       // by id: the latest arm's tag
+  std::set<Key> model_;                   // pending events
   std::uint64_t next_seq_ = 0;
-  int expected_ = -1;
 };
 
 TEST(EventQueueTest, MatchesOrderedSetOracleUnderRandomOps) {
